@@ -1,0 +1,5 @@
+"""Benchmark for qftcost: seeded workloads, reference checks and layer tracing.
+
+Run it with ``python3 perfbench/run.py --workload NAME --seed N --seconds S
+--trace 0|1``; see ``perfbench/README.md``.
+"""
