@@ -23,7 +23,14 @@ from .cost import (
     max_feasible_qubits,
 )
 from .errors import CapacityError, InfeasibleModelError
-from .route import MeetAt, RoutingStrategy, cancel_swaps, route_lnn
+from .route import (
+    MeetAt,
+    RoutingStrategy,
+    cancel_swaps,
+    paper_naive_swap_count,
+    paper_reduced_swap_count,
+    route_lnn,
+)
 from .simulate import circuit_unitary, dft_matrix, equal_up_to_global_phase
 from .synth import LoweringLevel, XorMode, build_aqft, lower_circuit
 
@@ -131,8 +138,8 @@ def route(infile, strategy, do_reduce, out):
         "n": n,
         "strategy": strategy,
         "measured": measured,
-        "paper_naive": (n - 1) * n * (2 * n - 1) // 6,
-        "paper_reduced": (n - 1) * (n - 2),
+        "paper_naive": paper_naive_swap_count(n),
+        "paper_reduced": paper_reduced_swap_count(n),
     }
     if do_reduce:
         report["reduced_measured"] = result.swap_count

@@ -13,6 +13,8 @@ from fractions import Fraction
 
 from .circuit import Circuit, DyadicAngle, Gate, GateKind
 from .errors import CapacityError, InfeasibleModelError
+from .route import cancel_swaps, route_lnn
+from .synth import build_qft
 
 #: Width cap for cost rows that materialize a circuit.
 MATERIALIZED_N_CAP = 64
@@ -317,9 +319,6 @@ def cost_curve(
                 cost = _closed_form_cost(n, m, model)
             feasible = _row_feasible(n, m, model)
         elif materialized:
-            from .route import cancel_swaps, route_lnn
-            from .synth import build_qft
-
             reduced = cancel_swaps(route_lnn(build_qft(n)))
             report = circuit_cost(reduced.circuit, model)
             cost = report.total_relative

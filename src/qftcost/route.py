@@ -3,8 +3,11 @@
 Every non-adjacent two-qubit gate is conjugated by a chain of adjacent
 swaps (2*(k-j-1) of them for endpoints j < k), so the unitary is preserved
 exactly and the logical-to-physical map returns to the identity after each
-routed block.  A peephole pass then deletes swap pairs that Fig.-2-style
-shared chains make redundant.
+routed block.  A cancellation pass then deletes swap pairs that Fig.-2-style
+shared chains make redundant.  Gates on disjoint wires commute and a swap
+is its own inverse, so this is cancellation of involutions in a partially
+commutative gate sequence: one left-to-right pass over a stack of live gate
+indices per wire reaches the fixed point in O(G) for G gates.
 """
 from __future__ import annotations
 
@@ -12,6 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .circuit import Circuit, Gate, GateKind
+from .synth import build_qft
 
 
 class RoutingStrategy(Enum):
@@ -85,30 +89,38 @@ def route_lnn(circuit: Circuit, strategy: Strategy = DEFAULT_STRATEGY) -> Routed
     return RoutedCircuit(routed, swaps, tuple(range(circuit.num_qubits)))
 
 
-def _delete_one_pair(gates: list[Gate]) -> bool:
-    """Delete the first identical swap pair with only spectators in between."""
-    for i, g in enumerate(gates):
-        if g.kind is not GateKind.SWAP:
-            continue
-        wires = set(g.qubits)
-        for j in range(i + 1, len(gates)):
-            h = gates[j]
-            if h.kind is GateKind.SWAP and set(h.qubits) == wires:
-                del gates[j]
-                del gates[i]
-                return True
-            if wires & set(h.qubits):
-                break
-    return False
-
-
 def cancel_swaps(routed: RoutedCircuit) -> RoutedCircuit:
-    """Peephole pass: delete identical adjacent-swap pairs separated only by
-    gates touching neither swap wire, until a fixed point."""
-    gates = list(routed.circuit.gates)
-    while _delete_one_pair(gates):
-        pass
-    reduced = Circuit(routed.circuit.num_qubits, tuple(gates), stage="reduced")
+    """Delete identical swap pairs separated only by gates touching neither
+    swap wire, until no such pair is left.
+
+    One pass: each wire keeps a stack of the live gates on it.  An incoming
+    swap whose two wires both have the same earlier swap on top cancels
+    with it (popping it exposes the gates beneath, so nested pairs cancel
+    too); any other gate is pushed on each of its wires.  The survivors keep
+    their original order.  O(G) time and memory for G gates.
+    """
+    gates = routed.circuit.gates
+    stacks: list[list[int]] = [[] for _ in range(routed.circuit.num_qubits)]
+    live = [True] * len(gates)
+    for k, g in enumerate(gates):
+        if g.kind is GateKind.SWAP:
+            on_a, on_b = (stacks[q] for q in g.qubits)
+            if (
+                on_a
+                and on_b
+                and on_a[-1] == on_b[-1]
+                and gates[on_a[-1]].kind is GateKind.SWAP
+            ):
+                live[on_a.pop()] = live[k] = False
+                on_b.pop()
+                continue
+        for q in g.qubits:
+            stacks[q].append(k)
+    reduced = Circuit(
+        routed.circuit.num_qubits,
+        tuple(g for g, keep in zip(gates, live) if keep),
+        stage="reduced",
+    )
     return RoutedCircuit(
         reduced,
         reduced.gate_census()[GateKind.SWAP],
@@ -136,8 +148,6 @@ def swap_overhead_report(
     quoted formulas (reported side by side, not forced to agree)."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    from .synth import build_qft
-
     routed = route_lnn(build_qft(n, include_bit_reversal), strategy)
     report = {
         "n": n,

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qftcost.circuit import Circuit, DyadicAngle, Gate, GateKind
 from qftcost.route import (
@@ -16,7 +17,7 @@ from qftcost.route import (
     swap_overhead_report,
 )
 from qftcost.simulate import circuit_unitary
-from qftcost.synth import build_qft
+from qftcost.synth import LoweringLevel, build_aqft, build_qft, lower_circuit
 from test_simulate import random_circuit
 
 ALL_STRATEGIES = [
@@ -24,6 +25,32 @@ ALL_STRATEGIES = [
     RoutingStrategy.MOVE_TARGET_TO_CONTROL,
     MeetAt(2),
 ]
+
+
+def _delete_one_pair(gates):
+    """Delete the first identical swap pair with only spectators in between."""
+    for i, g in enumerate(gates):
+        if g.kind is not GateKind.SWAP:
+            continue
+        wires = set(g.qubits)
+        for j in range(i + 1, len(gates)):
+            h = gates[j]
+            if h.kind is GateKind.SWAP and set(h.qubits) == wires:
+                del gates[j]
+                del gates[i]
+                return True
+            if wires & set(h.qubits):
+                break
+    return False
+
+
+def fixpoint_cancel(gates):
+    """Reference swap cancellation: delete one pair, restart from gate 0,
+    until nothing cancels.  Quadratic or worse; small inputs only."""
+    gates = list(gates)
+    while _delete_one_pair(gates):
+        pass
+    return tuple(gates)
 
 
 def all_two_qubit_adjacent(circuit):
@@ -126,7 +153,7 @@ class TestCancelSwaps:
         assert r.circuit.gates == tuple(gates)
 
     def test_idempotent(self):
-        for n in range(2, 8):
+        for n in [*range(2, 8), 32]:
             once = cancel_swaps(route_lnn(build_qft(n)))
             twice = cancel_swaps(once)
             assert twice.circuit.gates == once.circuit.gates
@@ -144,11 +171,78 @@ class TestCancelSwaps:
     def test_reduced_qft_matches_chain_sharing_formula(self):
         # golden data: the peephole pass realizes exactly (n-1)(n-2) swaps
         # under the far-end routing strategy
-        for n in range(2, 9):
+        for n in [*range(2, 9), 16, 32, 48, 64]:
             red = cancel_swaps(
                 route_lnn(build_qft(n), RoutingStrategy.MOVE_TARGET_TO_CONTROL)
             )
             assert red.swap_count == (n - 1) * (n - 2)
+
+
+_ORACLE_KINDS = [
+    GateKind.SWAP,
+    GateKind.SWAP,
+    GateKind.SWAP,
+    GateKind.H,
+    GateKind.RZ,
+    GateKind.CPHASE,
+    GateKind.XOR,
+]
+
+
+@st.composite
+def _swap_heavy_circuits(draw):
+    """Gate sequences on 2-6 wires, mostly swaps so that pairs meet."""
+    n = draw(st.integers(2, 6))
+    gates = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(_ORACLE_KINDS))
+        if kind in (GateKind.H, GateKind.RZ):
+            q = draw(st.integers(0, n - 1))
+            angle = None if kind is GateKind.H else DyadicAngle(1, 2)
+            gates.append(Gate(kind, (q,), angle))
+            continue
+        a = draw(st.integers(0, n - 2))
+        # mostly nearest neighbours, as routing emits them
+        b = a + 1 if draw(st.booleans()) else draw(st.integers(a + 1, n - 1))
+        if draw(st.booleans()):
+            a, b = b, a
+        angle = DyadicAngle(1, 3) if kind is GateKind.CPHASE else None
+        gates.append(Gate(kind, (a, b), angle))
+    return Circuit(n, tuple(gates), stage="routed")
+
+
+def _routed_grid(n):
+    strategies = [
+        RoutingStrategy.MOVE_TARGET_TO_CONTROL,
+        RoutingStrategy.MOVE_CONTROL_TO_TARGET,
+        *(MeetAt(l) for l in range(n)),
+    ]
+    for m in sorted({n, n // 2, 2}):
+        for bit_reversal in (False, True):
+            base = build_aqft(n, m, bit_reversal)
+            for level in (LoweringLevel.LOGICAL, LoweringLevel.ELEMENTARY):
+                lowered = lower_circuit(base, level)
+                for strategy in strategies:
+                    yield route_lnn(lowered, strategy)
+
+
+class TestCancelSwapsOracle:
+    """The one-pass cancellation equals the restart-from-zero fixpoint."""
+
+    @given(_swap_heavy_circuits())
+    def test_random_sequences_match_fixpoint(self, circuit):
+        swaps = circuit.gate_census()[GateKind.SWAP]
+        routed = RoutedCircuit(circuit, swaps, tuple(range(circuit.num_qubits)))
+        red = cancel_swaps(routed)
+        expected = fixpoint_cancel(circuit.gates)
+        assert red.circuit.gates == expected
+        assert red.swap_count == sum(1 for g in expected if g.kind is GateKind.SWAP)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_routed_qft_grid_matches_fixpoint(self, n):
+        for routed in _routed_grid(n):
+            red = cancel_swaps(routed)
+            assert red.circuit.gates == fixpoint_cancel(routed.circuit.gates)
 
 
 class TestOverheadReport:
