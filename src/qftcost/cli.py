@@ -180,20 +180,27 @@ def verify(infile, against, tol):
 @click.option("--policy", type=click.Choice(["tau0", "tauN"]), default=_DEFAULT_POLICY)
 @click.option("--t-res", type=float, default=1e-3, help="Time resolution t_R (s).")
 @click.option("--tau0", type=float, default=1.0, help="Seconds per pi rotation.")
-@click.option("--b-min", type=float, default=None, help="Field for the smallest rotation (T).")
+@click.option(
+    "--b-min",
+    type=click.FloatRange(min=0, min_open=True),
+    default=None,
+    help="Field for the smallest rotation (T).",
+)
 @click.option("--n-range", default=None, help="A:B inclusive range for curves.")
 @click.option("-o", "out", type=str, default=None)
 def cost(infile, closed_form, mode, policy, t_res, tau0, b_min, n_range, out):
     """Cost a circuit file, or emit a closed-form cost curve as CSV."""
-    model = HardwareModel(
-        mode=ControlMode(mode),
-        unit_policy={"tau0": UnitPolicy.TAU_ZERO, "tauN": UnitPolicy.TAU_N_MINUS_ONE}[
-            policy
-        ],
-        t_resolution=t_res,
-        t_ref=tau0,
-        b_min=b_min,
-    )
+    try:
+        model = HardwareModel(
+            mode=ControlMode(mode),
+            unit_policy={"tau0": UnitPolicy.TAU_ZERO, "tauN": UnitPolicy.TAU_N_MINUS_ONE}[
+                policy
+            ],
+            t_resolution=t_res,
+            t_ref=tau0,
+        )
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     if model.mode is ControlMode.DURATION:
         try:
             max_feasible_qubits(model, tau0)
@@ -211,12 +218,17 @@ def cost(infile, closed_form, mode, policy, t_res, tau0, b_min, n_range, out):
         kind, aqft_m = closed_form, None
         if closed_form.startswith("aqft:"):
             kind = "aqft"
-            aqft_m = int(closed_form.split(":", 1)[1])
+            try:
+                aqft_m = int(closed_form.split(":", 1)[1])
+            except ValueError:
+                raise click.UsageError(f"bad --closed-form {closed_form!r}")
         try:
             rows = cost_curve(lo, hi, model, kind, aqft_m)
         except CapacityError as exc:
             click.echo(f"capacity error: {exc}", err=True)
             sys.exit(EXIT_CAPACITY)
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
         _write(curve_csv(rows, model, kind), out)
         if model.mode is ControlMode.INTENSITY and b_min is not None:
             for n in range(lo, hi + 1):

@@ -7,6 +7,7 @@ width.  Floating point enters only at the seconds/tesla boundary.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -64,10 +65,14 @@ class HardwareModel:
     t_resolution: float = 1e-3
     t_ref: float = 1.0
     fixed_gate_time: float = 0.0
-    b_min: float | None = None
     custom_unit: DyadicAngle | None = None
 
     def __post_init__(self) -> None:
+        if not all(
+            math.isfinite(x)
+            for x in (self.t_resolution, self.t_ref, self.fixed_gate_time)
+        ):
+            raise ValueError("t_resolution, t_ref and fixed_gate_time must be finite")
         if self.t_resolution <= 0 or self.t_ref <= 0:
             raise ValueError("t_resolution and t_ref must be positive")
         if self.fixed_gate_time < 0:
@@ -203,6 +208,16 @@ def circuit_cost(circuit: Circuit, model: HardwareModel) -> CostReport:
     )
 
 
+def _aqft_rotation_sum(n: int, m: int) -> Fraction:
+    """Controlled-rotation angle total of AQFT(n, m), in units of pi.
+
+    sum_{d=1..K} (n-d) * 2^-d = n - 2 - (n-K-2) * 2^-K with K = min(m, n) - 1,
+    so K = n - 1 (the exact QFT) gives n - 2 + 2^(1-n).
+    """
+    k = min(m, n) - 1
+    return n - 2 - Fraction(n - k - 2, 1 << k)
+
+
 def qft_cost_closed_form(
     n: int,
     policy: UnitPolicy = UnitPolicy.TAU_N_MINUS_ONE,
@@ -210,22 +225,15 @@ def qft_cost_closed_form(
 ) -> Fraction:
     """Closed-form controlled-rotation cost of the exact n-qubit QFT.
 
+    The AQFT form shared with cost_curve at m = n:
     Unit tau_0:   n + 2^(1-n) - 2
     Unit tau_n-1: (n-2)*2^(n-1) + 1
     n = 1 gives 0 (no controlled rotations at all).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return Fraction(0)
-    base = Fraction(n) + Fraction(2, 1 << n) - 2  # unit tau_0
-    if policy is UnitPolicy.TAU_ZERO:
-        return base
-    if policy is UnitPolicy.TAU_N_MINUS_ONE:
-        return base * (1 << (n - 1))
-    if custom_unit is None or custom_unit.numerator == 0:
-        raise ValueError("CUSTOM policy requires a nonzero custom_unit")
-    return base / abs(custom_unit.as_fraction_of_pi)
+    unit = HardwareModel(unit_policy=policy, custom_unit=custom_unit)
+    return _aqft_rotation_sum(n, n) / unit.unit_angle_fraction(n)
 
 
 def max_feasible_qubits(model: HardwareModel, tau0_seconds: float) -> int:
@@ -258,30 +266,6 @@ class CurveRow:
     n_b: int | None
 
 
-def _closed_form_cost(n: int, m: int, model: HardwareModel) -> Fraction:
-    """Controlled-rotation cost of AQFT(n, m) without materializing it."""
-    unit = model.unit_angle_fraction(n)
-    total = Fraction(0)
-    for d in range(1, min(m, n)):
-        total += (n - d) * Fraction(1, 1 << d) / unit
-    if model.fixed_gate_time > 0.0:
-        fixed_rel = Fraction(model.fixed_gate_time) / Fraction(
-            model.t_unit_seconds(n)
-        )
-        total += n * fixed_rel  # the n Hadamard pulses
-    return total
-
-
-def _row_feasible(n: int, m: int, model: HardwareModel) -> bool:
-    if model.mode is ControlMode.INTENSITY:
-        return Fraction(model.t_ref) >= Fraction(model.t_resolution)
-    if model.unit_policy is UnitPolicy.TAU_N_MINUS_ONE:
-        return True  # intensity is tuned down with n; every pulse >= t_R
-    d_max = min(m, n) - 1
-    smallest = Fraction(model.t_ref) / (1 << d_max)
-    return smallest >= Fraction(model.t_resolution)
-
-
 def cost_curve(
     n_min: int,
     n_max: int,
@@ -291,40 +275,60 @@ def cost_curve(
 ) -> list[CurveRow]:
     """Cost rows for n in [n_min, n_max].
 
-    circuit_kind: "qft" and "aqft" use the closed form (cross-checked
-    against materialized circuits by the test suite); "qft_routed_reduced"
-    materializes, routes, and reduces each circuit.
+    circuit_kind: "qft" and "aqft" rows are O(1) exact closed forms; with
+    K = min(m, n) - 1 (m = n for "qft"):
+      duration:  (n - 2 - (n-K-2)*2^-K) / unit angle, plus n fixed-time
+                 Hadamard pulses when fixed_gate_time > 0; always feasible
+                 under tau_n-1, otherwise when t_ref / 2^K >= t_R, that is
+                 K < n_b;
+      intensity: n + K*n - K*(K+1)/2 gates at one unit each, feasible
+                 when t_ref >= t_R.
+    tests/test_cost.py checks every row against the per-distance sum and
+    against materialized circuits.  "qft_routed_reduced" materializes,
+    routes, and reduces each circuit.
     """
     if n_min < 1 or n_min > n_max:
         raise ValueError(f"bad range {n_min}:{n_max}")
+    if circuit_kind not in ("qft", "aqft", "qft_routed_reduced"):
+        raise ValueError(f"unknown circuit_kind {circuit_kind!r}")
     materialized = circuit_kind == "qft_routed_reduced"
     cap = MATERIALIZED_N_CAP if materialized else CLOSED_FORM_N_CAP
     if n_max > cap:
         raise CapacityError(f"n_max={n_max} exceeds cap {cap} for {circuit_kind}")
-    if circuit_kind == "aqft" and aqft_m is None:
-        raise ValueError("aqft curves need aqft_m")
+    if circuit_kind == "aqft":
+        if aqft_m is None:
+            raise ValueError("aqft curves need aqft_m")
+        if aqft_m < 1:
+            raise ValueError(f"aqft_m must be >= 1, got {aqft_m}")
 
+    intensity = model.mode is ControlMode.INTENSITY
+    n_b = None if intensity else _duration_n_b(model)
+    # a closed-form row is feasible iff K < k_limit
+    if intensity:
+        k_limit = math.inf if model.t_ref >= model.t_resolution else 0
+    elif model.unit_policy is UnitPolicy.TAU_N_MINUS_ONE:
+        k_limit = math.inf  # intensity is tuned down with n; every pulse >= t_R
+    else:
+        k_limit = n_b  # the smallest pulse t_ref / 2^K meets t_R
     rows: list[CurveRow] = []
     for n in range(n_min, n_max + 1):
-        if model.mode is ControlMode.INTENSITY:
-            n_b: int | None = None
-        else:
-            n_b = _duration_n_b(model)
-        if circuit_kind in ("qft", "aqft"):
-            m = n if circuit_kind == "qft" else min(aqft_m, n)
-            if model.mode is ControlMode.INTENSITY:
-                # every gate costs one unit
-                cost = Fraction(n + sum(n - d for d in range(1, m)))
-            else:
-                cost = _closed_form_cost(n, m, model)
-            feasible = _row_feasible(n, m, model)
-        elif materialized:
+        if materialized:
             reduced = cancel_swaps(route_lnn(build_qft(n)))
             report = circuit_cost(reduced.circuit, model)
-            cost = report.total_relative
-            feasible = report.feasible
+            cost, feasible = report.total_relative, report.feasible
         else:
-            raise ValueError(f"unknown circuit_kind {circuit_kind!r}")
+            m = n if circuit_kind == "qft" else min(aqft_m, n)
+            k = m - 1
+            if intensity:
+                cost = Fraction(n + k * n - k * (k + 1) // 2)  # one unit per gate
+            else:
+                cost = _aqft_rotation_sum(n, m) / model.unit_angle_fraction(n)
+                if model.fixed_gate_time > 0.0:
+                    fixed_rel = Fraction(model.fixed_gate_time) / Fraction(
+                        model.t_unit_seconds(n)
+                    )
+                    cost += n * fixed_rel  # the n Hadamard pulses
+            feasible = k < k_limit
         rows.append(CurveRow(n, cost, feasible, n_b))
     return rows
 

@@ -148,6 +148,27 @@ class TestCost:
         assert "exceeds feasible field" in result.output
         assert "ratio=2^99" in result.output
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--closed-form", "aqft:x", "--n-range", "2:5"],
+            ["--closed-form", "bogus", "--n-range", "2:5"],
+            ["--closed-form", "qft", "--n-range", "5:3"],
+            ["--closed-form", "qft", "--n-range", "2:5", "--t-res", "nan"],
+            ["--closed-form", "qft", "--n-range", "2:5", "--t-res", "inf"],
+            ["--closed-form", "qft", "--n-range", "2:5", "--tau0", "inf"],
+            ["--closed-form", "aqft:0", "--n-range", "2:5", "--policy", "tau0"],
+            ["--closed-form", "qft", "--n-range", "2:5", "--tau0", "-1"],
+            ["--closed-form", "qft", "--n-range", "2:5", "--mode", "intensity",
+             "--b-min", "0"],
+        ],
+    )
+    def test_bad_options_are_usage_errors(self, runner, args):
+        result = runner.invoke(main, ["cost", *args])
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        assert "Error:" in result.output
+
 
 class TestPipeline:
     def test_build_route_verify_cost(self, runner, tmp_path):

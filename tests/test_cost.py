@@ -5,7 +5,9 @@ import pytest
 
 from qftcost.circuit import Circuit, DyadicAngle, Gate, angle_canonicalize
 from qftcost.cost import (
+    CLOSED_FORM_N_CAP,
     ControlMode,
+    CurveRow,
     HardwareModel,
     UnitPolicy,
     circuit_cost,
@@ -35,6 +37,81 @@ def brute_force_qft_sum(n: int, tau_n_minus_one: bool) -> Fraction:
             else:
                 total += Fraction(1, 1 << (k - j))
     return total
+
+
+def oracle_closed_form_cost(n: int, m: int, model: HardwareModel) -> Fraction:
+    """The per-distance sum cost_curve once evaluated row by row."""
+    unit = model.unit_angle_fraction(n)
+    total = Fraction(0)
+    for d in range(1, min(m, n)):
+        total += (n - d) * Fraction(1, 1 << d) / unit
+    if model.fixed_gate_time > 0.0:
+        fixed_rel = Fraction(model.fixed_gate_time) / Fraction(
+            model.t_unit_seconds(n)
+        )
+        total += n * fixed_rel  # the n Hadamard pulses
+    return total
+
+
+def oracle_row_feasible(n: int, m: int, model: HardwareModel) -> bool:
+    """The per-row feasibility rule cost_curve once evaluated."""
+    if model.mode is ControlMode.INTENSITY:
+        return Fraction(model.t_ref) >= Fraction(model.t_resolution)
+    if model.unit_policy is UnitPolicy.TAU_N_MINUS_ONE:
+        return True
+    d_max = min(m, n) - 1
+    smallest = Fraction(model.t_ref) / (1 << d_max)
+    return smallest >= Fraction(model.t_resolution)
+
+
+def oracle_n_b(model: HardwareModel) -> int | None:
+    """Count the widths n whose smallest rotation t_ref / 2^(n-1) meets t_R."""
+    if model.mode is ControlMode.INTENSITY:
+        return None
+    n_b = 0
+    while Fraction(model.t_ref) / (1 << n_b) >= Fraction(model.t_resolution):
+        n_b += 1
+    return n_b
+
+
+def oracle_curve(
+    n_min: int, n_max: int, model: HardwareModel, aqft_m: int | None = None
+) -> list[CurveRow]:
+    """Closed-form curve rows built term by term (aqft_m None: the QFT)."""
+    rows = []
+    for n in range(n_min, n_max + 1):
+        m = n if aqft_m is None else min(aqft_m, n)
+        if model.mode is ControlMode.INTENSITY:
+            cost = Fraction(n + sum(n - d for d in range(1, m)))
+        else:
+            cost = oracle_closed_form_cost(n, m, model)
+        rows.append(CurveRow(n, cost, oracle_row_feasible(n, m, model), oracle_n_b(model)))
+    return rows
+
+
+T_R = HardwareModel().t_resolution
+#: tau0/tauN x duration/intensity x fixed_gate_time in {0, t_R}
+ORACLE_MODELS = [
+    HardwareModel(mode=mode, unit_policy=policy, fixed_gate_time=fixed)
+    for mode in (ControlMode.DURATION, ControlMode.INTENSITY)
+    for policy in (UnitPolicy.TAU_ZERO, UnitPolicy.TAU_N_MINUS_ONE)
+    for fixed in (0.0, T_R)
+] + [
+    # t_ref below t_R: no duration row is feasible and n_b is 0
+    HardwareModel(unit_policy=UnitPolicy.TAU_ZERO, t_ref=1e-4),
+    HardwareModel(mode=ControlMode.INTENSITY, t_ref=1e-4),
+    HardwareModel(
+        unit_policy=UnitPolicy.CUSTOM, custom_unit=DyadicAngle.pi_over_pow2(3)
+    ),
+]
+
+
+class TestHardwareModel:
+    @pytest.mark.parametrize("field", ["t_resolution", "t_ref", "fixed_gate_time"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1.0])
+    def test_bad_times_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            HardwareModel(**{field: value})
 
 
 class TestGateDuration:
@@ -130,6 +207,18 @@ class TestClosedForms:
     def test_big_n_no_overflow(self):
         v = qft_cost_closed_form(4096, UnitPolicy.TAU_N_MINUS_ONE)
         assert v == (4096 - 2) * (1 << 4095) + 1
+
+    def test_custom_unit_scales_tau0_form(self):
+        for k in range(0, 5):
+            unit = DyadicAngle.pi_over_pow2(k)
+            for n in range(1, 12):
+                assert qft_cost_closed_form(
+                    n, UnitPolicy.CUSTOM, unit
+                ) == qft_cost_closed_form(n, UnitPolicy.TAU_ZERO) * (1 << k)
+        with pytest.raises(ValueError):
+            qft_cost_closed_form(4, UnitPolicy.CUSTOM)
+        with pytest.raises(ValueError):
+            qft_cost_closed_form(0, UnitPolicy.TAU_ZERO)
 
 
 class TestCircuitCost:
@@ -239,12 +328,15 @@ class TestCostCurve:
             assert all(b <= a for a, b in zip(costs, costs[1:]))
 
     def test_closed_form_agrees_with_materialized_circuits(self):
-        for model in (TAU0, TAUN):
-            for n in range(2, 10):
+        fixed = HardwareModel(unit_policy=UnitPolicy.TAU_ZERO, fixed_gate_time=1e-3)
+        for model in (TAU0, TAUN, INTENSITY, fixed):
+            for n in range(2, 14):
                 for m in range(1, n + 1):
                     row = cost_curve(n, n, model, "aqft", aqft_m=m)[0]
                     report = circuit_cost(build_aqft(n, m), model)
                     assert row.relative_cost == report.total_relative
+                    # tau_0 pulses drop below t_R from K = 10 on
+                    assert row.feasible == report.feasible
 
     def test_routed_reduced_kind(self):
         rows = cost_curve(2, 6, TAUN, "qft_routed_reduced")
@@ -259,6 +351,48 @@ class TestCostCurve:
             cost_curve(2, 100, TAUN, "qft_routed_reduced")
         with pytest.raises(CapacityError):
             cost_curve(2, 5000, TAUN)
+        with pytest.raises(ValueError, match="unknown circuit_kind"):
+            cost_curve(2, 5, TAUN, "bogus")
+        with pytest.raises(ValueError):
+            cost_curve(2, 5, TAUN, "aqft")
+        for m in (0, -3):
+            for model in (TAU0, TAUN, INTENSITY):
+                with pytest.raises(ValueError, match="aqft_m"):
+                    cost_curve(2, 5, model, "aqft", aqft_m=m)
+
+    @pytest.mark.parametrize(
+        "model",
+        ORACLE_MODELS,
+        ids=lambda m: f"{m.mode.value}-{m.unit_policy.value}"
+        f"-fixed{m.fixed_gate_time}-tref{m.t_ref}",
+    )
+    def test_rows_match_per_distance_oracle(self, model):
+        # every (n, m) with n in 1..80 and m in 1..n+2
+        for m in range(1, 83):
+            n_min = max(1, m - 2)
+            assert cost_curve(n_min, 80, model, "aqft", aqft_m=m) == oracle_curve(
+                n_min, 80, model, m
+            )
+        assert cost_curve(1, 80, model) == oracle_curve(1, 80, model)
+
+    @pytest.mark.parametrize("policy", [UnitPolicy.TAU_ZERO, UnitPolicy.TAU_N_MINUS_ONE])
+    @pytest.mark.parametrize("mode", [ControlMode.DURATION, ControlMode.INTENSITY])
+    def test_csv_byte_identical_to_oracle(self, policy, mode):
+        model = HardwareModel(mode=mode, unit_policy=policy)
+        for kind, m in (("qft", None), ("aqft", 1), ("aqft", 3), ("aqft", 33)):
+            assert curve_csv(cost_curve(2, 200, model, kind, m), model, kind) == (
+                curve_csv(oracle_curve(2, 200, model, m), model, kind)
+            )
+
+    @pytest.mark.parametrize("model", [TAU0, TAUN], ids=["tau0", "tauN"])
+    def test_full_cap_curve(self, model):
+        rows = cost_curve(1, CLOSED_FORM_N_CAP, model)
+        assert [r.n for r in rows] == list(range(1, CLOSED_FORM_N_CAP + 1))
+        for r in rows[:: CLOSED_FORM_N_CAP // 16] + rows[-1:]:
+            assert r.relative_cost == qft_cost_closed_form(r.n, model.unit_policy)
+        if model is TAUN:
+            assert rows[-1].relative_cost == (4096 - 2) * (1 << 4095) + 1
+        assert {r.n_b for r in rows} == {10}
 
     def test_csv_shape(self):
         text = curve_csv(cost_curve(2, 4, TAUN), TAUN, "qft")
