@@ -11,7 +11,6 @@ from .simulate import (
 )
 from .synth import (
     LoweringLevel,
-    XorMode,
     build_aqft,
     build_qft,
     lower_circuit,
@@ -25,7 +24,6 @@ from .route import (
     RoutingStrategy,
     cancel_swaps,
     route_lnn,
-    swap_overhead_report,
 )
 from .cost import (
     ControlMode,
@@ -54,7 +52,6 @@ __all__ = [
     "equal_up_to_global_phase",
     "gate_unitary",
     "LoweringLevel",
-    "XorMode",
     "build_aqft",
     "build_qft",
     "lower_circuit",
@@ -66,7 +63,6 @@ __all__ = [
     "RoutingStrategy",
     "cancel_swaps",
     "route_lnn",
-    "swap_overhead_report",
     "ControlMode",
     "CostReport",
     "HardwareModel",

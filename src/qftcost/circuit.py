@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 class GateKind(Enum):
@@ -207,27 +207,11 @@ class Circuit:
         if self.stage not in STAGES:
             raise ValueError(f"unknown stage {self.stage!r}")
         for g in self.gates:
-            self._check_gate(g)
-
-    def _check_gate(self, gate: Gate) -> None:
-        for q in gate.qubits:
-            if not 0 <= q < self.num_qubits:
-                raise IndexError(
-                    f"qubit {q} out of range for {self.num_qubits}-qubit circuit"
-                )
-
-    def append(self, gate: Gate) -> Circuit:
-        self._check_gate(gate)
-        return Circuit(self.num_qubits, self.gates + (gate,), self.stage)
-
-    def extend(self, gates: Iterable[Gate]) -> Circuit:
-        out = tuple(gates)
-        for g in out:
-            self._check_gate(g)
-        return Circuit(self.num_qubits, self.gates + out, self.stage)
-
-    def with_stage(self, stage: str) -> Circuit:
-        return Circuit(self.num_qubits, self.gates, stage)
+            for q in g.qubits:
+                if not 0 <= q < self.num_qubits:
+                    raise IndexError(
+                        f"qubit {q} out of range for {self.num_qubits}-qubit circuit"
+                    )
 
     def __len__(self) -> int:
         return len(self.gates)

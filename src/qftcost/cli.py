@@ -11,7 +11,7 @@ import sys
 import click
 import numpy as np
 
-from .circuit import Circuit, DyadicAngle, angle_canonicalize
+from .circuit import Circuit
 from .cost import (
     ControlMode,
     HardwareModel,
@@ -32,7 +32,7 @@ from .route import (
     route_lnn,
 )
 from .simulate import circuit_unitary, dft_matrix, equal_up_to_global_phase
-from .synth import LoweringLevel, XorMode, build_aqft, lower_circuit
+from .synth import LoweringLevel, build_aqft, lower_circuit
 
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
@@ -100,11 +100,8 @@ def main() -> None:
     type=click.Choice([lv.value for lv in LoweringLevel]),
     default="logical",
 )
-@click.option(
-    "--xor-mode", type=click.Choice([xm.value for xm in XorMode]), default="ideal"
-)
 @click.option("-o", "out", type=str, default=None, help="Output file (default stdout).")
-def build(n, m, bit_reversal, lower, xor_mode, out):
+def build(n, m, bit_reversal, lower, out):
     """Build the N-qubit QFT (or AQFT) circuit as JSON."""
     if n < 1:
         raise click.UsageError("n must be >= 1")
@@ -112,7 +109,7 @@ def build(n, m, bit_reversal, lower, xor_mode, out):
     if not 1 <= m <= n:
         raise click.UsageError(f"--approx must be in [1, {n}]")
     circuit = build_aqft(n, m, bit_reversal)
-    circuit = lower_circuit(circuit, LoweringLevel(lower), XorMode(xor_mode))
+    circuit = lower_circuit(circuit, LoweringLevel(lower))
     _write(circuit.to_json(indent=2) + "\n", out)
     census = _census_lines(circuit)
     # keep stdout clean for piping when the circuit itself goes there

@@ -14,11 +14,7 @@ from fractions import Fraction
 
 from .circuit import Circuit, DyadicAngle, Gate, GateKind
 from .errors import CapacityError, InfeasibleModelError
-from .route import cancel_swaps, route_lnn
-from .synth import build_qft
 
-#: Width cap for cost rows that materialize a circuit.
-MATERIALIZED_N_CAP = 64
 #: Width cap for closed-form cost rows.
 CLOSED_FORM_N_CAP = 4096
 
@@ -133,11 +129,13 @@ class CostReport:
 
 
 def dyadic_decimal_str(x: Fraction) -> str:
-    """Exact terminating decimal of a rational with power-of-two denominator."""
+    """Exact terminating decimal of a rational with power-of-two denominator;
+    any other rational (a fixed pulse that is no power-of-two multiple of
+    t_unit) as an exact "p/q"."""
     den = x.denominator
     k = den.bit_length() - 1
     if den != 1 << k:
-        raise ValueError(f"{x} is not dyadic")
+        return str(x)
     scaled = abs(x.numerator) * 5**k
     sign = "-" if x.numerator < 0 else ""
     if k == 0:
@@ -160,13 +158,10 @@ def gate_duration(gate: Gate, model: HardwareModel, n: int) -> Fraction:
     return Fraction(model.fixed_gate_time) / Fraction(model.t_unit_seconds(n))
 
 
-def _duration_n_b(model: HardwareModel) -> int:
-    """Largest width whose smallest QFT rotation still meets t_R at the
-    reference intensity; 0 when even a full pi rotation is too fast."""
-    ratio = Fraction(model.t_ref) / Fraction(model.t_resolution)
-    if ratio < 1:
-        return 0
-    return int(ratio).bit_length()
+def _n_b(tau0_seconds: float, t_resolution: float) -> int:
+    """Largest n with tau0 / 2^(n-1) >= t_R, by exact integer comparison;
+    0 when even a full pi rotation is too fast."""
+    return int(Fraction(tau0_seconds) / Fraction(t_resolution)).bit_length()
 
 
 def circuit_cost(circuit: Circuit, model: HardwareModel) -> CostReport:
@@ -196,7 +191,7 @@ def circuit_cost(circuit: Circuit, model: HardwareModel) -> CostReport:
         ratio: int | None = 1 << (n - 1)
         feasible = Fraction(model.t_ref) >= t_res
     else:
-        n_b = _duration_n_b(model)
+        n_b = _n_b(model.t_ref, model.t_resolution)
         ratio = None
     return CostReport(
         total_relative=total,
@@ -238,14 +233,11 @@ def qft_cost_closed_form(
 
 def max_feasible_qubits(model: HardwareModel, tau0_seconds: float) -> int:
     """Largest n with tau0 / 2^(n-1) >= t_R, by exact integer comparison."""
-    tau0 = Fraction(tau0_seconds)
-    t_res = Fraction(model.t_resolution)
-    if tau0 < t_res:
+    if tau0_seconds < model.t_resolution:
         raise InfeasibleModelError(
             f"tau0 = {tau0_seconds} s is below the resolution {model.t_resolution} s"
         )
-    ratio = tau0 / t_res  # >= 1
-    return int(ratio).bit_length()
+    return _n_b(tau0_seconds, model.t_resolution)
 
 
 def intensity_requirement(n: int, b_min: float) -> dict:
@@ -273,28 +265,33 @@ def cost_curve(
     circuit_kind: str = "qft",
     aqft_m: int | None = None,
 ) -> list[CurveRow]:
-    """Cost rows for n in [n_min, n_max].
+    """Cost rows for n in [n_min, n_max], each an O(1) exact closed form.
 
-    circuit_kind: "qft" and "aqft" rows are O(1) exact closed forms; with
-    K = min(m, n) - 1 (m = n for "qft"):
-      duration:  (n - 2 - (n-K-2)*2^-K) / unit angle, plus n fixed-time
-                 Hadamard pulses when fixed_gate_time > 0; always feasible
-                 under tau_n-1, otherwise when t_ref / 2^K >= t_R, that is
-                 K < n_b;
-      intensity: n + K*n - K*(K+1)/2 gates at one unit each, feasible
-                 when t_ref >= t_R.
+    circuit_kind "qft" and "aqft" cost QFT/AQFT(n, m) (m = n for "qft");
+    "qft_routed_reduced" costs the QFT after move-target LNN routing and
+    swap cancellation, without bit reversal, whose chain sharing leaves
+    the paper's (n-1)(n-2) swaps.  With K = min(m, n) - 1 and s swaps
+    (s = 0 unless routed):
+      duration:  (n - 2 - (n-K-2)*2^-K) / unit angle, plus n Hadamard and
+                 s swap pulses of fixed_gate_time each;
+      intensity: n + K*n - K*(K+1)/2 + s gates at one unit each.
+    Feasibility is circuit_cost's rule on the circuit a row describes,
+    every positive pulse >= t_R, which reduces to K < k_limit: intensity
+    rows are feasible iff t_ref >= t_R; duration rows are all infeasible
+    when 0 < fixed_gate_time < t_R, else always feasible under tau_n-1,
+    otherwise when the smallest rotation t_ref / 2^K meets t_R (K < n_b)
+    or there is none (K = 0).
     tests/test_cost.py checks every row against the per-distance sum and
-    against materialized circuits.  "qft_routed_reduced" materializes,
-    routes, and reduces each circuit.
+    against materialized (and routed) circuits.
     """
     if n_min < 1 or n_min > n_max:
         raise ValueError(f"bad range {n_min}:{n_max}")
     if circuit_kind not in ("qft", "aqft", "qft_routed_reduced"):
         raise ValueError(f"unknown circuit_kind {circuit_kind!r}")
-    materialized = circuit_kind == "qft_routed_reduced"
-    cap = MATERIALIZED_N_CAP if materialized else CLOSED_FORM_N_CAP
-    if n_max > cap:
-        raise CapacityError(f"n_max={n_max} exceeds cap {cap} for {circuit_kind}")
+    if n_max > CLOSED_FORM_N_CAP:
+        raise CapacityError(
+            f"n_max={n_max} exceeds cap {CLOSED_FORM_N_CAP} for {circuit_kind}"
+        )
     if circuit_kind == "aqft":
         if aqft_m is None:
             raise ValueError("aqft curves need aqft_m")
@@ -302,34 +299,32 @@ def cost_curve(
             raise ValueError(f"aqft_m must be >= 1, got {aqft_m}")
 
     intensity = model.mode is ControlMode.INTENSITY
-    n_b = None if intensity else _duration_n_b(model)
-    # a closed-form row is feasible iff K < k_limit
+    routed = circuit_kind == "qft_routed_reduced"
+    n_b = None if intensity else _n_b(model.t_ref, model.t_resolution)
+    # a row is feasible iff K < k_limit
     if intensity:
         k_limit = math.inf if model.t_ref >= model.t_resolution else 0
+    elif 0.0 < model.fixed_gate_time < model.t_resolution:
+        k_limit = 0  # the Hadamard pulses are too short
     elif model.unit_policy is UnitPolicy.TAU_N_MINUS_ONE:
         k_limit = math.inf  # intensity is tuned down with n; every pulse >= t_R
     else:
-        k_limit = n_b  # the smallest pulse t_ref / 2^K meets t_R
+        k_limit = max(n_b, 1)  # K = 0 leaves no rotation pulse to resolve
     rows: list[CurveRow] = []
     for n in range(n_min, n_max + 1):
-        if materialized:
-            reduced = cancel_swaps(route_lnn(build_qft(n)))
-            report = circuit_cost(reduced.circuit, model)
-            cost, feasible = report.total_relative, report.feasible
+        m = min(aqft_m, n) if circuit_kind == "aqft" else n
+        k = m - 1
+        swaps = (n - 1) * (n - 2) if routed else 0
+        if intensity:
+            cost = Fraction(n + k * n - k * (k + 1) // 2 + swaps)  # one unit per gate
         else:
-            m = n if circuit_kind == "qft" else min(aqft_m, n)
-            k = m - 1
-            if intensity:
-                cost = Fraction(n + k * n - k * (k + 1) // 2)  # one unit per gate
-            else:
-                cost = _aqft_rotation_sum(n, m) / model.unit_angle_fraction(n)
-                if model.fixed_gate_time > 0.0:
-                    fixed_rel = Fraction(model.fixed_gate_time) / Fraction(
-                        model.t_unit_seconds(n)
-                    )
-                    cost += n * fixed_rel  # the n Hadamard pulses
-            feasible = k < k_limit
-        rows.append(CurveRow(n, cost, feasible, n_b))
+            cost = _aqft_rotation_sum(n, m) / model.unit_angle_fraction(n)
+            if model.fixed_gate_time > 0.0:
+                fixed_rel = Fraction(model.fixed_gate_time) / Fraction(
+                    model.t_unit_seconds(n)
+                )
+                cost += (n + swaps) * fixed_rel  # the Hadamard and swap pulses
+        rows.append(CurveRow(n, cost, k < k_limit, n_b))
     return rows
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .circuit import Circuit, Gate, GateKind
-from .synth import build_qft
 
 
 class RoutingStrategy(Enum):
@@ -137,27 +136,3 @@ def paper_reduced_swap_count(n: int) -> int:
     """The quoted O(n^2) swap total after chain sharing."""
     return (n - 1) * (n - 2)
 
-
-def swap_overhead_report(
-    n: int,
-    strategy: Strategy = DEFAULT_STRATEGY,
-    reduce: bool = True,
-    include_bit_reversal: bool = False,
-) -> dict:
-    """Route the n-qubit QFT and compare measured swap counts with the
-    quoted formulas (reported side by side, not forced to agree)."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    routed = route_lnn(build_qft(n, include_bit_reversal), strategy)
-    report = {
-        "n": n,
-        "strategy": strategy.value
-        if isinstance(strategy, RoutingStrategy)
-        else f"meet_at_{strategy.meeting_point}",
-        "measured": routed.swap_count,
-        "paper_naive": paper_naive_swap_count(n),
-        "paper_reduced": paper_reduced_swap_count(n),
-    }
-    if reduce:
-        report["reduced_measured"] = cancel_swaps(routed).swap_count
-    return report

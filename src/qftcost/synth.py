@@ -2,20 +2,15 @@
 
 Lowering targets the practical elementary set {H, Ry, Rz, Phi, Ising}:
 controlled phases expand through XOR + Rz + Phi, and XOR itself expands
-into single-qubit rotations around an Ising evolution.
+into single-qubit rotations around an Ising evolution.  The lowering level
+is the only knob: the XOR level keeps XOR as an ideal gate, and the
+elementary level expands every XOR into its physical sequence.
 """
 from __future__ import annotations
 
 from enum import Enum
 
 from .circuit import Circuit, DyadicAngle, Gate, GateKind
-
-
-class XorMode(Enum):
-    """Keep XOR as an ideal gate, or expand it into the physical sequence."""
-
-    IDEAL = "ideal"
-    PHYSICAL = "physical"
 
 
 class LoweringLevel(Enum):
@@ -79,72 +74,60 @@ def lower_cphase(
     j: int,
     k: int,
     theta: DyadicAngle,
-    xor_mode: XorMode = XorMode.IDEAL,
+    physical: bool = False,
     width: int | None = None,
 ) -> Circuit:
     """Controlled phase C(target=j, control=k; theta) from two XORs, Rz
     pulses of theta/2, and a theta/4 phase shift.
 
-    With ideal XORs the product equals C(theta) exactly; with physical
-    XORs equality holds up to a global phase.
+    With ideal XORs (the XOR lowering level) the product equals C(theta)
+    exactly; with physical XORs (physical=True, the elementary level)
+    equality holds up to a global phase.
     """
     if j == k:
         raise ValueError("target and control must be distinct")
     width = max(j, k) + 1 if width is None else width
     half = theta.half()
-    gates: list[Gate] = []
-
-    def emit_xor() -> None:
-        if xor_mode is XorMode.IDEAL:
-            gates.append(Gate.xor(j, k))
-        else:
-            gates.extend(lower_xor(j, k, width))
-
-    emit_xor()
-    gates.append(Gate.rz(j, half))
-    emit_xor()
-    gates.append(Gate.rz(j, -half))
-    gates.append(Gate.phi(k, theta.quarter()))
-    gates.append(Gate.rz(k, -half))
-    return Circuit(width, tuple(gates), stage="lowered")
+    xor = lower_xor(j, k, width).gates if physical else (Gate.xor(j, k),)
+    return Circuit(
+        width,
+        xor
+        + (Gate.rz(j, half),)
+        + xor
+        + (Gate.rz(j, -half), Gate.phi(k, theta.quarter()), Gate.rz(k, -half)),
+        stage="lowered",
+    )
 
 
 def lower_swap(
-    j: int, k: int, xor_mode: XorMode = XorMode.IDEAL, width: int | None = None
+    j: int, k: int, physical: bool = False, width: int | None = None
 ) -> Circuit:
-    """Swap from three alternating XORs."""
+    """Swap from three alternating XORs: ideal ones (the XOR lowering
+    level), or with physical=True (the elementary level) their physical
+    sequences, exact up to a global phase."""
     if j == k:
         raise ValueError("indices must be distinct")
     width = max(j, k) + 1 if width is None else width
-    if xor_mode is XorMode.IDEAL:
-        gates: tuple[Gate, ...] = (Gate.xor(k, j), Gate.xor(j, k), Gate.xor(k, j))
+    if physical:
+        down, up = lower_xor(k, j, width).gates, lower_xor(j, k, width).gates
     else:
-        gates = (
-            lower_xor(k, j, width).gates
-            + lower_xor(j, k, width).gates
-            + lower_xor(k, j, width).gates
-        )
-    return Circuit(width, gates, stage="lowered")
+        down, up = (Gate.xor(k, j),), (Gate.xor(j, k),)
+    return Circuit(width, down + up + down, stage="lowered")
 
 
-def lower_circuit(
-    circuit: Circuit,
-    level: LoweringLevel,
-    xor_mode: XorMode = XorMode.IDEAL,
-) -> Circuit:
+def lower_circuit(circuit: Circuit, level: LoweringLevel) -> Circuit:
     """Expand a circuit gate by gate to the requested lowering level."""
     if level is LoweringLevel.LOGICAL:
         return circuit
-    # Elementary level always needs the physical XOR sequence.
-    mode = XorMode.PHYSICAL if level is LoweringLevel.ELEMENTARY else xor_mode
+    physical = level is LoweringLevel.ELEMENTARY
     n = circuit.num_qubits
     gates: list[Gate] = []
     for g in circuit:
         if g.kind is GateKind.CPHASE:
-            gates.extend(lower_cphase(*g.qubits, g.angle, mode, width=n))
+            gates.extend(lower_cphase(*g.qubits, g.angle, physical, width=n))
         elif g.kind is GateKind.SWAP:
-            gates.extend(lower_swap(*g.qubits, mode, width=n))
-        elif g.kind is GateKind.XOR and level is LoweringLevel.ELEMENTARY:
+            gates.extend(lower_swap(*g.qubits, physical, width=n))
+        elif g.kind is GateKind.XOR and physical:
             gates.extend(lower_xor(*g.qubits, width=n))
         else:
             gates.append(g)

@@ -32,7 +32,7 @@ from qftcost.simulate import (
     equal_up_to_global_phase,
     gate_unitary,
 )
-from qftcost.synth import XorMode, build_aqft, build_qft, lower_cphase, lower_xor
+from qftcost.synth import build_aqft, build_qft, lower_cphase, lower_xor
 
 TAU0 = HardwareModel(unit_policy=UnitPolicy.TAU_ZERO)
 TAUN = HardwareModel(unit_policy=UnitPolicy.TAU_N_MINUS_ONE)
@@ -90,7 +90,7 @@ def test_criterion_3_cphase_identity_exact():
     ]
     worst = 0.0
     for theta in angles:
-        u = circuit_unitary(lower_cphase(0, 1, theta, XorMode.IDEAL))
+        u = circuit_unitary(lower_cphase(0, 1, theta))
         c = gate_unitary(Gate.cphase(0, 1, theta), 2)
         worst = max(worst, float(np.linalg.norm(u - c)))
     report(

@@ -94,19 +94,19 @@ class TestGate:
 
 class TestCircuit:
     def test_append(self):
-        c = Circuit(2).append(Gate.h(0))
+        c = Circuit(2, (Gate.h(0),))
         assert len(c) == 1
 
     def test_append_out_of_range(self):
         with pytest.raises(IndexError):
-            Circuit(3).append(Gate.cphase(0, 3, DyadicAngle(1, 1)))
+            Circuit(3, (Gate.cphase(0, 3, DyadicAngle(1, 1)),))
 
     def test_empty_census(self):
         counts = Circuit(4).gate_census()
         assert all(v == 0 for v in counts.values())
 
     def test_swap_census(self):
-        c = Circuit(3).extend([Gate.swap(0, 1)] * 3)
+        c = Circuit(3, (Gate.swap(0, 1),) * 3)
         assert c.gate_census()[GateKind.SWAP] == 3
 
     def test_bad_stage(self):

@@ -190,3 +190,23 @@ class TestPipeline:
         assert runner.invoke(main, [*args, "-o", str(a)]).exit_code == 0
         assert runner.invoke(main, [*args, "-o", str(b)]).exit_code == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["build", "3", "--xor-mode", "physical"], 2),
+        (["cost", "--closed-form", "qft_routed_reduced", "--n-range", "60:70"], 0),
+        (["cost", "--closed-form", "qft_routed_reduced", "--n-range", "2:5000"], 3),
+    ],
+)
+def test_removed_option_and_routed_cap(runner, args, code):
+    result = runner.invoke(main, args)
+    assert result.exit_code == code, result.output
+    assert "Traceback" not in result.output
+    if code == 0:
+        # swaps are free by default: the tauN QFT total (n-2)*2^(n-1) + 1
+        assert result.stdout.split("\n")[1:-1] == [
+            f"{n},{(n - 2) * 2 ** (n - 1) + 1},true,10,tauN,duration,qft_routed_reduced"
+            for n in range(60, 71)
+        ]

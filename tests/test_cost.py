@@ -20,7 +20,8 @@ from qftcost.cost import (
     qft_cost_closed_form,
 )
 from qftcost.errors import CapacityError, InfeasibleModelError
-from qftcost.synth import build_aqft, build_qft
+from qftcost.route import cancel_swaps, route_lnn
+from qftcost.synth import build_aqft, build_qft, lower_swap
 
 TAU0 = HardwareModel(unit_policy=UnitPolicy.TAU_ZERO)
 TAUN = HardwareModel(unit_policy=UnitPolicy.TAU_N_MINUS_ONE)
@@ -54,12 +55,17 @@ def oracle_closed_form_cost(n: int, m: int, model: HardwareModel) -> Fraction:
 
 
 def oracle_row_feasible(n: int, m: int, model: HardwareModel) -> bool:
-    """The per-row feasibility rule cost_curve once evaluated."""
+    """circuit_cost's rule on AQFT(n, m), pulse by pulse: every positive
+    pulse (Hadamard or rotation) lasts at least t_R."""
     if model.mode is ControlMode.INTENSITY:
         return Fraction(model.t_ref) >= Fraction(model.t_resolution)
+    if 0 < Fraction(model.fixed_gate_time) < Fraction(model.t_resolution):
+        return False  # the Hadamard pulses
     if model.unit_policy is UnitPolicy.TAU_N_MINUS_ONE:
         return True
     d_max = min(m, n) - 1
+    if d_max == 0:
+        return True  # no rotation pulse at all
     smallest = Fraction(model.t_ref) / (1 << d_max)
     return smallest >= Fraction(model.t_resolution)
 
@@ -102,6 +108,33 @@ ORACLE_MODELS = [
     HardwareModel(mode=ControlMode.INTENSITY, t_ref=1e-4),
     HardwareModel(
         unit_policy=UnitPolicy.CUSTOM, custom_unit=DyadicAngle.pi_over_pow2(3)
+    ),
+    # Hadamard pulses shorter than t_R: no duration row is feasible
+    HardwareModel(unit_policy=UnitPolicy.TAU_ZERO, fixed_gate_time=T_R / 2),
+]
+#: Fixed pulses make every routed swap count in duration mode.
+TAU0_FIXED = HardwareModel(unit_policy=UnitPolicy.TAU_ZERO, fixed_gate_time=T_R)
+TAUN_FIXED = HardwareModel(fixed_gate_time=0.25)
+#: Models for routed rows (t_ref = 0.3 gives non-dyadic fixed pulses).
+ROUTED_MODELS = [
+    TAU0,
+    TAUN,
+    INTENSITY,
+    HardwareModel(mode=ControlMode.INTENSITY, t_ref=1e-4, fixed_gate_time=T_R),
+    TAU0_FIXED,
+    TAUN_FIXED,
+    HardwareModel(unit_policy=UnitPolicy.TAU_ZERO, fixed_gate_time=5e-4),
+    HardwareModel(fixed_gate_time=5e-4),
+    HardwareModel(unit_policy=UnitPolicy.TAU_ZERO, t_ref=1e-4),
+    HardwareModel(unit_policy=UnitPolicy.TAU_ZERO, t_ref=0.3, fixed_gate_time=T_R),
+    HardwareModel(
+        unit_policy=UnitPolicy.TAU_ZERO, t_ref=0.5, t_resolution=2**-10,
+        fixed_gate_time=0.25,
+    ),
+    HardwareModel(
+        unit_policy=UnitPolicy.CUSTOM,
+        custom_unit=DyadicAngle(3, 3),
+        fixed_gate_time=T_R,
     ),
 ]
 
@@ -250,15 +283,13 @@ class TestCircuitCost:
         assert circuit_cost(build_qft(12), TAUN).feasible
 
     def test_swap_cost_both_ways(self):
-        from qftcost.synth import XorMode, lower_swap
-
         # opaque swap: charged at fixed_gate_time
         model = HardwareModel(unit_policy=UnitPolicy.TAU_ZERO, fixed_gate_time=0.5)
         opaque = circuit_cost(Circuit(2, (Gate.swap(0, 1),)), model)
         assert opaque.breakdown["swap"] == Fraction(1, 2)
         # lowered swap: the rotation content dominates
         # (3 x [two Rz(pi/2) + one Ising(pi/4)] = 3 * 5/4 units at tau_0)
-        lowered = circuit_cost(lower_swap(0, 1, XorMode.PHYSICAL), TAU0)
+        lowered = circuit_cost(lower_swap(0, 1, physical=True), TAU0)
         assert lowered.total_relative == Fraction(15, 4)
         assert lowered.breakdown["swap"] == 0
 
@@ -329,7 +360,9 @@ class TestCostCurve:
 
     def test_closed_form_agrees_with_materialized_circuits(self):
         fixed = HardwareModel(unit_policy=UnitPolicy.TAU_ZERO, fixed_gate_time=1e-3)
-        for model in (TAU0, TAUN, INTENSITY, fixed):
+        short_pulse = HardwareModel(fixed_gate_time=1e-4)  # Hadamards below t_R
+        slow = HardwareModel(unit_policy=UnitPolicy.TAU_ZERO, t_ref=1e-4)  # n_b = 0
+        for model in (TAU0, TAUN, INTENSITY, fixed, short_pulse, slow):
             for n in range(2, 14):
                 for m in range(1, n + 1):
                     row = cost_curve(n, n, model, "aqft", aqft_m=m)[0]
@@ -344,11 +377,23 @@ class TestCostCurve:
         # swaps are free by default, so totals match the unrouted QFT
         assert [r.relative_cost for r in rows] == [r.relative_cost for r in plain]
 
+    @pytest.mark.parametrize("n", [*range(1, 25), 32, 48, 64])
+    def test_routed_rows_match_routed_circuits(self, n):
+        # oracle: route and cancel the QFT once, then cost it per model
+        reduced = cancel_swaps(route_lnn(build_qft(n))).circuit
+        models = ROUTED_MODELS if n <= 24 else [TAU0_FIXED, TAUN_FIXED]
+        for model in models:
+            row = cost_curve(n, n, model, "qft_routed_reduced")[0]
+            report = circuit_cost(reduced, model)
+            assert row.relative_cost == report.total_relative, model
+            assert row.feasible == report.feasible, model
+            assert row.n_b == report.n_b
+
     def test_range_and_cap_errors(self):
         with pytest.raises(ValueError):
             cost_curve(5, 2, TAUN)
         with pytest.raises(CapacityError):
-            cost_curve(2, 100, TAUN, "qft_routed_reduced")
+            cost_curve(2, 5000, TAUN, "qft_routed_reduced")
         with pytest.raises(CapacityError):
             cost_curve(2, 5000, TAUN)
         with pytest.raises(ValueError, match="unknown circuit_kind"):
@@ -411,6 +456,25 @@ class TestDecimalRendering:
         assert dyadic_decimal_str(Fraction(49, 16)) == "3.0625"
         assert dyadic_decimal_str(Fraction(-5, 4)) == "-1.25"
 
-    def test_non_dyadic_rejected(self):
-        with pytest.raises(ValueError):
-            dyadic_decimal_str(Fraction(1, 3))
+    def test_non_dyadic_as_exact_fraction(self):
+        assert dyadic_decimal_str(Fraction(1, 3)) == "1/3"
+        assert dyadic_decimal_str(Fraction(-5, 12)) == "-5/12"
+
+    def test_non_dyadic_fixed_pulse_renders_as_fraction(self):
+        # 1e-3 s is no power-of-two multiple of t_unit = 0.3 s
+        model = HardwareModel(
+            unit_policy=UnitPolicy.TAU_ZERO, t_ref=0.3, fixed_gate_time=1e-3
+        )
+        report = circuit_cost(build_qft(3), model)
+        data = report.to_json_dict()
+        assert "/" in data["total_relative"]
+        assert Fraction(data["total_relative"]) == report.total_relative
+        assert data["breakdown"]["controlled_rotation"] == "1.25"
+        for name, value in data["breakdown"].items():
+            assert Fraction(value) == report.breakdown[name]
+        for kind in ("qft", "qft_routed_reduced"):
+            rows = cost_curve(2, 3, model, kind)
+            lines = curve_csv(rows, model, kind).split("\n")[1:-1]
+            cells = [line.split(",") for line in lines]
+            assert [Fraction(c[1]) for c in cells] == [r.relative_cost for r in rows]
+            assert all("/" in c[1] for c in cells)

@@ -14,7 +14,6 @@ from qftcost.route import (
     paper_naive_swap_count,
     paper_reduced_swap_count,
     route_lnn,
-    swap_overhead_report,
 )
 from qftcost.simulate import circuit_unitary
 from qftcost.synth import LoweringLevel, build_aqft, build_qft, lower_circuit
@@ -246,19 +245,20 @@ class TestCancelSwapsOracle:
 
 
 class TestOverheadReport:
+    """Measured swap counts of the routed QFT next to the paper's formulas."""
+
     def test_n2_no_swaps(self):
-        rep = swap_overhead_report(2)
-        assert rep["measured"] == 0
-        assert rep["paper_reduced"] == 0
+        assert route_lnn(build_qft(2)).swap_count == 0
+        assert paper_reduced_swap_count(2) == 0
 
     def test_n5_values(self):
-        rep = swap_overhead_report(5, RoutingStrategy.MOVE_TARGET_TO_CONTROL)
-        assert rep["paper_naive"] == 30
-        assert rep["paper_reduced"] == 12
+        routed = route_lnn(build_qft(5), RoutingStrategy.MOVE_TARGET_TO_CONTROL)
+        assert paper_naive_swap_count(5) == 30
+        assert paper_reduced_swap_count(5) == 12
         # documented discrepancy: the construction yields 20, not the
-        # quoted naive 30; both are reported
-        assert rep["measured"] == 20
-        assert rep["reduced_measured"] == 12
+        # quoted naive 30
+        assert routed.swap_count == 20
+        assert cancel_swaps(routed).swap_count == 12
 
     def test_measured_matches_pair_sum(self):
         # oracle: brute-force sum of 2*(k-j-1) over the QFT gate pairs
@@ -266,13 +266,8 @@ class TestOverheadReport:
             expected = sum(
                 2 * (k - j - 1) for j in range(n) for k in range(j + 1, n)
             )
-            rep = swap_overhead_report(n, reduce=False)
-            assert rep["measured"] == expected
+            assert route_lnn(build_qft(n)).swap_count == expected
 
     def test_formula_helpers(self):
         assert paper_naive_swap_count(5) == 30
         assert paper_reduced_swap_count(5) == 12
-
-    def test_rejects_n1(self):
-        with pytest.raises(ValueError):
-            swap_overhead_report(1)

@@ -112,7 +112,7 @@ class TestCircuitUnitary:
             n = rng.randrange(1, 6)
             c1 = random_circuit(rng, n, 8)
             c2 = random_circuit(rng, n, 8)
-            combined = c1.extend(c2.gates)
+            combined = Circuit(n, c1.gates + c2.gates)
             u = circuit_unitary(c2) @ circuit_unitary(c1)
             assert np.linalg.norm(circuit_unitary(combined) - u) <= 1e-12
 

@@ -16,7 +16,6 @@ from qftcost.simulate import (
 )
 from qftcost.synth import (
     LoweringLevel,
-    XorMode,
     build_aqft,
     build_qft,
     lower_circuit,
@@ -135,7 +134,7 @@ class TestLowerXor:
 
     def test_applied_twice_is_identity_up_to_phase(self):
         c = lower_xor(0, 1)
-        u = circuit_unitary(c.extend(c.gates))
+        u = circuit_unitary(Circuit(c.num_qubits, c.gates * 2))
         ok, _ = equal_up_to_global_phase(u, np.eye(4), 1e-10)
         assert ok
 
@@ -167,7 +166,7 @@ class TestLowerCphase:
 
     def test_physical_mode_phase_is_two_xor_phases(self):
         theta = DyadicAngle.pi_over_pow2(2)
-        u = circuit_unitary(lower_cphase(0, 1, theta, XorMode.PHYSICAL))
+        u = circuit_unitary(lower_cphase(0, 1, theta, physical=True))
         c = gate_unitary(Gate.cphase(0, 1, theta), 2)
         ok, lam = equal_up_to_global_phase(u, c, 1e-10)
         assert ok
@@ -184,8 +183,8 @@ class TestLowerSwap:
         assert np.linalg.norm(u - gate_unitary(Gate.swap(0, 1), 2)) <= 1e-12
 
     def test_twice_is_identity(self):
-        c = lower_swap(0, 1)
-        assert np.linalg.norm(circuit_unitary(c.extend(c.gates)) - np.eye(4)) <= 1e-12
+        u = circuit_unitary(Circuit(2, lower_swap(0, 1).gates * 2))
+        assert np.linalg.norm(u - np.eye(4)) <= 1e-12
 
     def test_exchanges_basis_states(self):
         from qftcost.simulate import apply_circuit
@@ -198,7 +197,7 @@ class TestLowerSwap:
         assert np.allclose(out, expected)
 
     def test_physical_mode_up_to_phase(self):
-        u = circuit_unitary(lower_swap(0, 1, XorMode.PHYSICAL))
+        u = circuit_unitary(lower_swap(0, 1, physical=True))
         ok, _ = equal_up_to_global_phase(u, gate_unitary(Gate.swap(0, 1), 2), 1e-10)
         assert ok
 
