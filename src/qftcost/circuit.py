@@ -37,6 +37,9 @@ TWO_QUBIT_KINDS = frozenset(
 
 STAGES = ("synthesized", "lowered", "routed", "reduced")
 
+#: True when every type it is given is int (a bool or a float is not).
+_ONLY_INTS = frozenset({int}).issuperset
+
 
 @dataclass(frozen=True)
 class DyadicAngle:
@@ -186,11 +189,23 @@ class Gate:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> Gate:
+        if type(d) is not dict:
+            raise ValueError(f"a gate must be an object, not {type(d).__name__}")
         kind = GateKind(d["kind"])
+        qubits = d["q"]
+        if type(qubits) is not list or not _ONLY_INTS(map(type, qubits)):
+            raise ValueError(f"q must be a list of ints, got {qubits!r:.60}")
         angle = None
         if "angle" in d:
-            angle = angle_canonicalize(int(d["angle"]["num"]), d["angle"]["log2den"])
-        return cls(kind, tuple(d["q"]), angle)
+            a = d["angle"]
+            if (
+                type(a) is not dict
+                or type(a["num"]) not in (str, int)
+                or type(a["log2den"]) is not int
+            ):
+                raise ValueError(f"angle must be {{num, log2den: int}}, got {a!r:.60}")
+            angle = angle_canonicalize(int(a["num"]), a["log2den"])
+        return cls(kind, tuple(qubits), angle)
 
 
 @dataclass(frozen=True)
@@ -238,6 +253,12 @@ class Circuit:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> Circuit:
+        """Parse a circuit; malformed JSON raises ValueError (a bad index
+        IndexError, a missing field KeyError), never TypeError."""
+        if type(d) is not dict:
+            raise ValueError(f"a circuit must be an object, not {type(d).__name__}")
+        if type(d["n"]) is not int or type(d["gates"]) is not list:
+            raise ValueError("a circuit needs an int n and a list of gates")
         return cls(
             d["n"],
             tuple(Gate.from_json_dict(g) for g in d["gates"]),

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification mismatch, 2 usage/parse error,
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -35,7 +36,6 @@ from .simulate import circuit_unitary, dft_matrix, equal_up_to_global_phase
 from .synth import LoweringLevel, build_aqft, lower_circuit
 
 EXIT_MISMATCH = 1
-EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_INFEASIBLE = 4
 
@@ -53,7 +53,7 @@ def _read_circuit(path: str) -> Circuit:
             with open(path) as fh:
                 text = fh.read()
         return Circuit.from_json(text)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, LookupError, ValueError) as exc:
         raise click.UsageError(f"cannot read circuit from {path}: {exc}")
 
 
@@ -86,7 +86,27 @@ def _parse_strategy(name: str):
         raise click.UsageError(f"unknown strategy {name!r}")
 
 
-@click.group()
+class _ExitCodeGroup(click.Group):
+    """Maps the library's errors to exit codes, for every command: capacity
+    3, infeasible model 4, any other ValueError a usage error (2)."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except CapacityError as exc:
+            click.echo(f"capacity error: {exc}", err=True)
+            sys.exit(EXIT_CAPACITY)
+        except InfeasibleModelError as exc:
+            click.echo(f"infeasible model: {exc}", err=True)
+            sys.exit(EXIT_INFEASIBLE)
+        except ValueError as exc:
+            # the subcommand's own context, so the usage line names it
+            name = ctx.invoked_subcommand
+            sub = click.Context(self.get_command(ctx, name), parent=ctx, info_name=name)
+            raise click.UsageError(str(exc), sub) from None
+
+
+@click.group(cls=_ExitCodeGroup)
 def main() -> None:
     """QFT synthesis, LNN routing, and hardware time-cost estimation."""
 
@@ -150,16 +170,20 @@ def route(infile, strategy, do_reduce, out):
 @click.option("--tol", type=float, default=1e-10)
 def verify(infile, against, tol):
     """Check a circuit against the DFT matrix or another circuit file."""
+    if not 0 <= tol < math.inf:
+        raise click.UsageError(f"--tol must be finite and >= 0, got {tol}")
     circuit = _read_circuit(infile)
-    try:
-        u = circuit_unitary(circuit)
-        if against == "dft":
-            target = dft_matrix(circuit.num_qubits)
-        else:
-            target = circuit_unitary(_read_circuit(against))
-    except CapacityError as exc:
-        click.echo(f"capacity error: {exc}", err=True)
-        sys.exit(EXIT_CAPACITY)
+    other = None if against == "dft" else _read_circuit(against)
+    if other is not None and other.num_qubits != circuit.num_qubits:
+        raise click.UsageError(
+            f"width mismatch: {infile} has {circuit.num_qubits} qubits, "
+            f"{against} has {other.num_qubits}"
+        )
+    u = circuit_unitary(circuit)
+    if other is None:
+        target = dft_matrix(circuit.num_qubits)
+    else:
+        target = circuit_unitary(other)
     ok, lam = equal_up_to_global_phase(u, target, tol)
     if ok:
         residual = float(np.linalg.norm(u - lam * target))
@@ -187,23 +211,10 @@ def verify(infile, against, tol):
 @click.option("-o", "out", type=str, default=None)
 def cost(infile, closed_form, mode, policy, t_res, tau0, b_min, n_range, out):
     """Cost a circuit file, or emit a closed-form cost curve as CSV."""
-    try:
-        model = HardwareModel(
-            mode=ControlMode(mode),
-            unit_policy={"tau0": UnitPolicy.TAU_ZERO, "tauN": UnitPolicy.TAU_N_MINUS_ONE}[
-                policy
-            ],
-            t_resolution=t_res,
-            t_ref=tau0,
-        )
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    if model.mode is ControlMode.DURATION:
-        try:
-            max_feasible_qubits(model, tau0)
-        except InfeasibleModelError as exc:
-            click.echo(f"infeasible model: {exc}", err=True)
-            sys.exit(EXIT_INFEASIBLE)
+    model = HardwareModel(
+        ControlMode(mode), UnitPolicy(policy), t_resolution=t_res, t_ref=tau0
+    )
+    max_feasible_qubits(model)
 
     if closed_form is not None:
         if n_range is None:
@@ -219,18 +230,12 @@ def cost(infile, closed_form, mode, policy, t_res, tau0, b_min, n_range, out):
                 aqft_m = int(closed_form.split(":", 1)[1])
             except ValueError:
                 raise click.UsageError(f"bad --closed-form {closed_form!r}")
-        try:
-            rows = cost_curve(lo, hi, model, kind, aqft_m)
-        except CapacityError as exc:
-            click.echo(f"capacity error: {exc}", err=True)
-            sys.exit(EXIT_CAPACITY)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+        rows = cost_curve(lo, hi, model, kind, aqft_m)
         _write(curve_csv(rows, model, kind), out)
         if model.mode is ControlMode.INTENSITY and b_min is not None:
             for n in range(lo, hi + 1):
                 req = intensity_requirement(n, b_min)
-                note = " exceeds feasible field" if req["b_max"] > 1e2 else ""
+                note = "" if req["feasible"] else " exceeds feasible field"
                 click.echo(
                     f"n={n} B_max={req['b_max']:.6g} T ratio=2^{n - 1}{note}",
                     err=out is None,

@@ -92,8 +92,11 @@ class HardwareModel:
         """Physical seconds per cost unit.
 
         For the smallest-rotation policy the field intensity is assumed
-        tuned so the unit rotation takes exactly the resolution time (the
-        fastest schedule that still resolves every pulse).
+        tuned so the unit rotation, the logical n-qubit QFT's smallest
+        rotation pi/2^(n-1), takes exactly the resolution time.  That is
+        the fastest schedule that resolves every logical QFT pulse; the
+        shorter Rz(theta/2) and Phi(theta/4) pulses of a lowered circuit
+        can fall below t_R.
         """
         if self.mode is ControlMode.INTENSITY:
             return self.t_ref
@@ -164,15 +167,24 @@ def _n_b(tau0_seconds: float, t_resolution: float) -> int:
     return int(Fraction(tau0_seconds) / Fraction(t_resolution)).bit_length()
 
 
+def _resolvable(shortest: Fraction | None, model: HardwareModel, n: int) -> bool:
+    """The feasibility rule: every positive pulse lasts at least t_R, given
+    the shortest positive pulse in t_unit (None when there is none)."""
+    t_unit = Fraction(model.t_unit_seconds(n))
+    return shortest is None or shortest * t_unit >= Fraction(model.t_resolution)
+
+
 def circuit_cost(circuit: Circuit, model: HardwareModel) -> CostReport:
-    """Exact total duration of a circuit with per-class breakdown."""
+    """Exact total duration of a circuit with per-class breakdown.
+
+    feasible is _resolvable on the circuit's shortest positive pulse.
+    Under tau_n-1 the intensity is tuned so that the *logical* QFT's
+    smallest rotation pi/2^(n-1) takes t_R, so lowered Rz(theta/2) and
+    Phi(theta/4) pulses can fall below t_R.  n_b is the width bound of the
+    logical QFT at t_ref (see max_feasible_qubits).
+    """
     n = circuit.num_qubits
-    breakdown = {
-        "controlled_rotation": Fraction(0),
-        "single_qubit_rotation": Fraction(0),
-        "fixed_gates": Fraction(0),
-        "swap": Fraction(0),
-    }
+    breakdown = dict.fromkeys(_BREAKDOWN_CLASS.values(), Fraction(0))
     min_positive: Fraction | None = None
     for g in circuit:
         d = gate_duration(g, model, n)
@@ -180,26 +192,14 @@ def circuit_cost(circuit: Circuit, model: HardwareModel) -> CostReport:
         if d > 0 and (min_positive is None or d < min_positive):
             min_positive = d
     total = sum(breakdown.values(), Fraction(0))
-    t_unit = Fraction(model.t_unit_seconds(n))
-    t_res = Fraction(model.t_resolution)
-    if min_positive is None:
-        feasible = True
-    else:
-        feasible = min_positive * t_unit >= t_res
-    if model.mode is ControlMode.INTENSITY:
-        n_b = None
-        ratio: int | None = 1 << (n - 1)
-        feasible = Fraction(model.t_ref) >= t_res
-    else:
-        n_b = _n_b(model.t_ref, model.t_resolution)
-        ratio = None
+    intensity = model.mode is ControlMode.INTENSITY
     return CostReport(
         total_relative=total,
-        total_seconds=float(total * t_unit),
+        total_seconds=float(total * Fraction(model.t_unit_seconds(n))),
         breakdown=breakdown,
-        feasible=bool(feasible),
-        n_b=n_b,
-        intensity_ratio=ratio,
+        feasible=_resolvable(min_positive, model, n),
+        n_b=None if intensity else _n_b(model.t_ref, model.t_resolution),
+        intensity_ratio=1 << (n - 1) if intensity else None,
     )
 
 
@@ -231,23 +231,32 @@ def qft_cost_closed_form(
     return _aqft_rotation_sum(n, n) / unit.unit_angle_fraction(n)
 
 
-def max_feasible_qubits(model: HardwareModel, tau0_seconds: float) -> int:
-    """Largest n with tau0 / 2^(n-1) >= t_R, by exact integer comparison."""
-    if tau0_seconds < model.t_resolution:
+def max_feasible_qubits(model: HardwareModel) -> int:
+    """Largest n with t_ref / 2^(n-1) >= t_R, by exact integer comparison.
+    InfeasibleModelError when even pi, the longest rotation, is unresolvable
+    (t_ref < t_R, except under tau_n-1, which tunes the intensity to t_R)."""
+    pi = gate_duration(Gate.rz(0, DyadicAngle(1, 0)), model, 1)
+    if not _resolvable(pi, model, 1):
         raise InfeasibleModelError(
-            f"tau0 = {tau0_seconds} s is below the resolution {model.t_resolution} s"
+            f"tau0 = {model.t_ref} s is below the resolution {model.t_resolution} s"
         )
-    return _n_b(tau0_seconds, model.t_resolution)
+    return _n_b(model.t_ref, model.t_resolution)
+
+
+#: Largest field intensity (T) taken as attainable.
+MAX_FIELD_TESLA = 1e2
 
 
 def intensity_requirement(n: int, b_min: float) -> dict:
-    """Field needed for the largest rotation when the smallest uses b_min."""
+    """Field needed for the largest rotation when the smallest uses b_min;
+    feasible says whether it stays within MAX_FIELD_TESLA."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if b_min <= 0:
         raise ValueError("b_min must be positive")
     ratio = 1 << (n - 1)
-    return {"b_max": b_min * float(ratio), "ratio": ratio}
+    b_max = b_min * float(ratio)
+    return {"b_max": b_max, "ratio": ratio, "feasible": b_max <= MAX_FIELD_TESLA}
 
 
 @dataclass(frozen=True)
@@ -275,12 +284,13 @@ def cost_curve(
       duration:  (n - 2 - (n-K-2)*2^-K) / unit angle, plus n Hadamard and
                  s swap pulses of fixed_gate_time each;
       intensity: n + K*n - K*(K+1)/2 + s gates at one unit each.
-    Feasibility is circuit_cost's rule on the circuit a row describes,
-    every positive pulse >= t_R, which reduces to K < k_limit: intensity
-    rows are feasible iff t_ref >= t_R; duration rows are all infeasible
-    when 0 < fixed_gate_time < t_R, else always feasible under tau_n-1,
-    otherwise when the smallest rotation t_ref / 2^K meets t_R (K < n_b)
-    or there is none (K = 0).
+    Feasibility is _resolvable, circuit_cost's rule, on the circuit
+    a row describes.  k_limit is that predicate in closed form, computed
+    once per curve so that no row pays for it: a row is feasible iff
+    K < k_limit.  Intensity rows are feasible iff t_ref >= t_R; duration
+    rows are all infeasible when 0 < fixed_gate_time < t_R, else always
+    feasible under tau_n-1, otherwise when the smallest rotation
+    t_ref / 2^K meets t_R (K < n_b) or there is none (K = 0).
     tests/test_cost.py checks every row against the per-distance sum and
     against materialized (and routed) circuits.
     """

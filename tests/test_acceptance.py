@@ -3,6 +3,7 @@ pass/fail line with its measured numbers."""
 import cmath
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -174,7 +175,8 @@ def test_criterion_7_routing_soundness():
 def test_criterion_8_feasible_qubit_boundary():
     model = HardwareModel(unit_policy=UnitPolicy.TAU_ZERO, t_resolution=1e-3)
     ok = all(
-        max_feasible_qubits(model, (1 << k) * 1e-3) == k + 1 for k in range(0, 81)
+        max_feasible_qubits(replace(model, t_ref=(1 << k) * 1e-3)) == k + 1
+        for k in range(0, 81)
     )
     report("8 feasible-width boundary", ok, "n_b = k+1 for tau0 = 2^k * t_R, k=0..80")
 

@@ -133,7 +133,7 @@ class TestCost:
     def test_infeasible_model_exit(self, runner):
         result = runner.invoke(
             main,
-            ["cost", "--closed-form", "qft", "--n-range", "2:4",
+            ["cost", "--closed-form", "qft", "--n-range", "2:4", "--policy", "tau0",
              "--tau0", "1e-6", "--t-res", "1e-3"],
         )
         assert result.exit_code == 4
@@ -210,3 +210,79 @@ def test_removed_option_and_routed_cap(runner, args, code):
             f"{n},{(n - 2) * 2 ** (n - 1) + 1},true,10,tauN,duration,qft_routed_reduced"
             for n in range(60, 71)
         ]
+
+
+def _circuit_text(n: int, gates: list) -> str:
+    return json.dumps({"n": n, "stage": "synthesized", "gates": gates})
+
+
+_CURVE = ["cost", "--closed-form", "qft", "--n-range", "2:3", "--t-res", "1e-3"]
+_INFEASIBLE = "infeasible model: "
+
+
+@pytest.mark.parametrize(
+    "args, stdin, code, stderr",
+    [
+        ([*_CURVE, "--policy", "tau0", "--tau0", "1e-4"], None, 4, _INFEASIBLE),
+        # tau_n-1 tunes the intensity so that the smallest rotation takes t_R
+        ([*_CURVE, "--policy", "tauN", "--tau0", "1e-4"], None, 0, ""),
+        ([*_CURVE, "--mode", "intensity", "--tau0", "1e-4"], None, 4, _INFEASIBLE),
+        (["cost", "--closed-form", "qft_routed_reduced", "--n-range", "2:5000"],
+         None, 3, "capacity error: "),
+        (["verify", "-"], _circuit_text(13, []), 3, "capacity error: "),
+        (["verify", "-", "--against", "WIDE"], _circuit_text(2, []), 2,
+         "- has 2 qubits, WIDE has 3"),
+    ],
+)
+def test_exit_codes(runner, tmp_path, args, stdin, code, stderr):
+    wide = tmp_path / "wide.json"
+    wide.write_text(_circuit_text(3, []))
+    args = [str(wide) if a == "WIDE" else a for a in args]
+    result = runner.invoke(main, args, input=stdin)
+    assert result.exit_code == code, result.output
+    assert "Traceback" not in result.output
+    assert stderr.replace("WIDE", str(wide)) in result.stderr
+    if code == 0:
+        assert result.stdout.split("\n")[1:3] == [
+            "2,1,true,0,tauN,duration,qft", "3,5,true,0,tauN,duration,qft"
+        ]
+
+
+def test_infeasible_circuit_is_not_an_exit_code(runner):
+    built = runner.invoke(main, ["build", "3", "--lower", "elementary"])
+    result = runner.invoke(main, ["cost", "-"], input=built.stdout)
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["feasible"] is False
+
+
+_H0 = {"kind": "H", "q": [0]}
+
+
+@pytest.mark.parametrize(
+    "args, stdin",
+    [
+        (["cost", "-"], "[1]"),
+        (["cost", "-"], _circuit_text(2, [{"kind": "H", "q": [0.5]}])),
+        (["cost", "-"], json.dumps({"n": True, "gates": [_H0]})),
+        (["cost", "-"], json.dumps({"n": 2.0, "gates": [_H0]})),
+        (["cost", "-"], _circuit_text(2, [{"kind": "H", "q": [True]}])),
+        (["cost", "-"], _circuit_text(2, [{"kind": "H", "q": 0}])),
+        (["cost", "-"], _circuit_text(2, [[0]])),
+        (["cost", "-"], json.dumps({"n": 2, "gates": 5})),
+        (["cost", "-"], _circuit_text(
+            2, [{"kind": "Rz", "q": [0], "angle": {"num": "1", "log2den": 2.0}}])),
+        (["cost", "-"], _circuit_text(
+            2, [{"kind": "Rz", "q": [0], "angle": {"num": [1], "log2den": 2}}])),
+        (["cost", "-"], _circuit_text(2, [{"kind": "Rz", "q": [0], "angle": None}])),
+        (["cost", "-"], _circuit_text(2, [{"kind": "H", "q": [2]}])),
+        (["cost", "-"], _circuit_text(2, [{"kind": "H", "q": [-1]}])),
+        (["verify", "-", "--tol", "nan"], _circuit_text(2, [_H0])),
+        (["verify", "-", "--tol", "-1"], _circuit_text(2, [_H0])),
+        (["verify", "-", "--tol", "inf"], _circuit_text(2, [_H0])),
+    ],
+)
+def test_malformed_input_is_usage_error(runner, args, stdin):
+    result = runner.invoke(main, args, input=stdin)
+    assert result.exit_code == 2, result.output
+    assert "Error:" in result.output
+    assert "Traceback" not in result.output

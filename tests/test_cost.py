@@ -1,4 +1,5 @@
 """Cost-model tests: durations, closed forms, feasibility bounds, curves."""
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -296,18 +297,34 @@ class TestCircuitCost:
 
 class TestMaxFeasibleQubits:
     def test_tau0_equal_resolution(self):
-        assert max_feasible_qubits(TAU0, 1e-3) == 1
+        assert max_feasible_qubits(replace(TAU0, t_ref=1e-3)) == 1
 
     def test_one_second_vs_millisecond(self):
-        assert max_feasible_qubits(TAU0, 1.0) == 10
+        assert max_feasible_qubits(replace(TAU0, t_ref=1.0)) == 10
 
     def test_power_of_two_boundary(self):
         for k in range(0, 81):
-            assert max_feasible_qubits(TAU0, (1 << k) * 1e-3) == k + 1
+            assert max_feasible_qubits(replace(TAU0, t_ref=(1 << k) * 1e-3)) == k + 1
 
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleModelError):
-            max_feasible_qubits(TAU0, 1e-4)
+            max_feasible_qubits(replace(TAU0, t_ref=1e-4))
+
+    def test_taun_tunes_intensity_to_resolution(self):
+        # a pi rotation lasts 2^(n-1) * t_R under tau_n-1, whatever t_ref is
+        assert max_feasible_qubits(replace(TAUN, t_ref=1e-4)) == 0
+        assert max_feasible_qubits(replace(TAUN, t_ref=4e-3)) == 3
+
+    def test_intensity_needs_resolvable_pi(self):
+        assert max_feasible_qubits(replace(INTENSITY, t_ref=1e-3)) == 1
+        with pytest.raises(InfeasibleModelError):
+            max_feasible_qubits(replace(INTENSITY, t_ref=1e-4))
+
+    def test_empty_intensity_circuit_feasible(self):
+        # no pulse to resolve, at any t_ref
+        model = replace(INTENSITY, t_ref=1e-4)
+        assert circuit_cost(Circuit(3, ()), model).feasible
+        assert not circuit_cost(build_qft(3), model).feasible
 
 
 class TestIntensityRequirement:
