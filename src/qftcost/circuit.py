@@ -16,6 +16,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator
 
+from .errors import CapacityError
+
 
 class GateKind(Enum):
     H = "H"
@@ -36,6 +38,15 @@ TWO_QUBIT_KINDS = frozenset(
 )
 
 STAGES = ("synthesized", "lowered", "routed", "reduced")
+
+#: Widest circuit that build_aqft makes and the JSON reader accepts.  A cost
+#: report prints the intensity ratio 2^(n-1) in decimal, and Python renders
+#: ints of at most 4300 digits; 2^4095 has 1,233.
+QUBIT_CAP = 4096
+#: Largest log2den the JSON reader accepts.  The smallest angle the package
+#: makes is lowering's theta/4 of the QFT's pi/2^(n-1), pi/2^(n+1); the bound
+#: admits it at the width cap and keeps every cost renderable and fast.
+LOG2DEN_CAP = QUBIT_CAP + 1
 
 #: True when every type it is given is int (a bool or a float is not).
 _ONLY_INTS = frozenset({int}).issuperset
@@ -204,6 +215,10 @@ class Gate:
                 or type(a["log2den"]) is not int
             ):
                 raise ValueError(f"angle must be {{num, log2den: int}}, got {a!r:.60}")
+            if a["log2den"] > LOG2DEN_CAP:
+                raise ValueError(
+                    f"log2den {a['log2den']} exceeds the bound {LOG2DEN_CAP}"
+                )
             angle = angle_canonicalize(int(a["num"]), a["log2den"])
         return cls(kind, tuple(qubits), angle)
 
@@ -254,11 +269,14 @@ class Circuit:
     @classmethod
     def from_json_dict(cls, d: dict) -> Circuit:
         """Parse a circuit; malformed JSON raises ValueError (a bad index
-        IndexError, a missing field KeyError), never TypeError."""
+        IndexError, a missing field KeyError, n above QUBIT_CAP
+        CapacityError), never TypeError."""
         if type(d) is not dict:
             raise ValueError(f"a circuit must be an object, not {type(d).__name__}")
         if type(d["n"]) is not int or type(d["gates"]) is not list:
             raise ValueError("a circuit needs an int n and a list of gates")
+        if d["n"] > QUBIT_CAP:
+            raise CapacityError(f"n={d['n']} exceeds qubit cap {QUBIT_CAP}")
         return cls(
             d["n"],
             tuple(Gate.from_json_dict(g) for g in d["gates"]),

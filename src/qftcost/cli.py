@@ -22,16 +22,11 @@ from .cost import (
     curve_csv,
     intensity_requirement,
     max_feasible_qubits,
-)
-from .errors import CapacityError, InfeasibleModelError
-from .route import (
-    MeetAt,
-    RoutingStrategy,
-    cancel_swaps,
     paper_naive_swap_count,
     paper_reduced_swap_count,
-    route_lnn,
 )
+from .errors import CapacityError, InfeasibleModelError
+from .route import MeetAt, RoutingStrategy, cancel_swaps, route_lnn
 from .simulate import circuit_unitary, dft_matrix, equal_up_to_global_phase
 from .synth import LoweringLevel, build_aqft, lower_circuit
 
@@ -53,6 +48,8 @@ def _read_circuit(path: str) -> Circuit:
             with open(path) as fh:
                 text = fh.read()
         return Circuit.from_json(text)
+    except CapacityError:
+        raise  # exit 3, not a usage error
     except (OSError, LookupError, ValueError) as exc:
         raise click.UsageError(f"cannot read circuit from {path}: {exc}")
 
@@ -123,12 +120,7 @@ def main() -> None:
 @click.option("-o", "out", type=str, default=None, help="Output file (default stdout).")
 def build(n, m, bit_reversal, lower, out):
     """Build the N-qubit QFT (or AQFT) circuit as JSON."""
-    if n < 1:
-        raise click.UsageError("n must be >= 1")
-    m = n if m is None else m
-    if not 1 <= m <= n:
-        raise click.UsageError(f"--approx must be in [1, {n}]")
-    circuit = build_aqft(n, m, bit_reversal)
+    circuit = build_aqft(n, n if m is None else m, bit_reversal)
     circuit = lower_circuit(circuit, LoweringLevel(lower))
     _write(circuit.to_json(indent=2) + "\n", out)
     census = _census_lines(circuit)

@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .circuit import Circuit, DyadicAngle, Gate, GateKind
+from .circuit import QUBIT_CAP, Circuit, DyadicAngle, Gate, GateKind
 from .errors import CapacityError, InfeasibleModelError
 
-#: Width cap for closed-form cost rows.
-CLOSED_FORM_N_CAP = 4096
+#: Width cap for closed-form cost rows: the circuit width cap.
+CLOSED_FORM_N_CAP = QUBIT_CAP
 
 
 class ControlMode(Enum):
@@ -27,7 +27,6 @@ class ControlMode(Enum):
 class UnitPolicy(Enum):
     TAU_ZERO = "tau0"  # t_unit = time of a full pi rotation
     TAU_N_MINUS_ONE = "tauN"  # t_unit = time of the smallest QFT rotation
-    CUSTOM = "custom"
 
 
 #: Gate kinds whose duration tracks the rotation angle in duration mode.
@@ -61,7 +60,6 @@ class HardwareModel:
     t_resolution: float = 1e-3
     t_ref: float = 1.0
     fixed_gate_time: float = 0.0
-    custom_unit: DyadicAngle | None = None
 
     def __post_init__(self) -> None:
         if not all(
@@ -73,20 +71,14 @@ class HardwareModel:
             raise ValueError("t_resolution and t_ref must be positive")
         if self.fixed_gate_time < 0:
             raise ValueError("fixed_gate_time must be non-negative")
-        if self.unit_policy is UnitPolicy.CUSTOM and (
-            self.custom_unit is None or self.custom_unit.numerator == 0
-        ):
-            raise ValueError("CUSTOM policy requires a nonzero custom_unit")
 
     def unit_angle_fraction(self, n: int) -> Fraction:
         """The unit angle as an exact fraction of pi."""
         if self.unit_policy is UnitPolicy.TAU_ZERO:
             return Fraction(1)
-        if self.unit_policy is UnitPolicy.TAU_N_MINUS_ONE:
-            if n < 1:
-                raise ValueError("circuit width required for this policy")
-            return Fraction(1, 1 << (n - 1))
-        return abs(self.custom_unit.as_fraction_of_pi)
+        if n < 1:
+            raise ValueError("circuit width required for this policy")
+        return Fraction(1, 1 << (n - 1))
 
     def t_unit_seconds(self, n: int) -> float:
         """Physical seconds per cost unit.
@@ -102,7 +94,7 @@ class HardwareModel:
             return self.t_ref
         if self.unit_policy is UnitPolicy.TAU_N_MINUS_ONE:
             return self.t_resolution
-        return self.t_ref * float(self.unit_angle_fraction(n))
+        return self.t_ref
 
 
 @dataclass(frozen=True)
@@ -158,6 +150,11 @@ def gate_duration(gate: Gate, model: HardwareModel, n: int) -> Fraction:
         return magnitude / model.unit_angle_fraction(n)
     if model.fixed_gate_time == 0.0:
         return Fraction(0)
+    return _fixed_pulse(model, n)
+
+
+def _fixed_pulse(model: HardwareModel, n: int) -> Fraction:
+    """Duration of one fixed-time pulse (H, Xor, Ry, Swap) in t_unit."""
     return Fraction(model.fixed_gate_time) / Fraction(model.t_unit_seconds(n))
 
 
@@ -214,9 +211,7 @@ def _aqft_rotation_sum(n: int, m: int) -> Fraction:
 
 
 def qft_cost_closed_form(
-    n: int,
-    policy: UnitPolicy = UnitPolicy.TAU_N_MINUS_ONE,
-    custom_unit: DyadicAngle | None = None,
+    n: int, policy: UnitPolicy = UnitPolicy.TAU_N_MINUS_ONE
 ) -> Fraction:
     """Closed-form controlled-rotation cost of the exact n-qubit QFT.
 
@@ -227,7 +222,7 @@ def qft_cost_closed_form(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    unit = HardwareModel(unit_policy=policy, custom_unit=custom_unit)
+    unit = HardwareModel(unit_policy=policy)
     return _aqft_rotation_sum(n, n) / unit.unit_angle_fraction(n)
 
 
@@ -243,6 +238,16 @@ def max_feasible_qubits(model: HardwareModel) -> int:
     return _n_b(model.t_ref, model.t_resolution)
 
 
+def paper_naive_swap_count(n: int) -> int:
+    """The paper's O(n^3) naive swap total for the n-qubit QFT."""
+    return (n - 1) * n * (2 * n - 1) // 6
+
+
+def paper_reduced_swap_count(n: int) -> int:
+    """The paper's O(n^2) swap total after chain sharing."""
+    return (n - 1) * (n - 2)
+
+
 #: Largest field intensity (T) taken as attainable.
 MAX_FIELD_TESLA = 1e2
 
@@ -254,9 +259,11 @@ def intensity_requirement(n: int, b_min: float) -> dict:
         raise ValueError("n must be >= 1")
     if b_min <= 0:
         raise ValueError("b_min must be positive")
-    ratio = 1 << (n - 1)
-    b_max = b_min * float(ratio)
-    return {"b_max": b_max, "ratio": ratio, "feasible": b_max <= MAX_FIELD_TESLA}
+    try:
+        b_max = math.ldexp(b_min, n - 1)
+    except OverflowError:  # beyond the float range (n > 1024 at b_min = 1 T)
+        b_max = math.inf
+    return {"b_max": b_max, "ratio": 1 << (n - 1), "feasible": b_max <= MAX_FIELD_TESLA}
 
 
 @dataclass(frozen=True)
@@ -324,16 +331,14 @@ def cost_curve(
     for n in range(n_min, n_max + 1):
         m = min(aqft_m, n) if circuit_kind == "aqft" else n
         k = m - 1
-        swaps = (n - 1) * (n - 2) if routed else 0
+        swaps = paper_reduced_swap_count(n) if routed else 0
         if intensity:
             cost = Fraction(n + k * n - k * (k + 1) // 2 + swaps)  # one unit per gate
         else:
             cost = _aqft_rotation_sum(n, m) / model.unit_angle_fraction(n)
             if model.fixed_gate_time > 0.0:
-                fixed_rel = Fraction(model.fixed_gate_time) / Fraction(
-                    model.t_unit_seconds(n)
-                )
-                cost += (n + swaps) * fixed_rel  # the Hadamard and swap pulses
+                # the Hadamard and swap pulses
+                cost += (n + swaps) * _fixed_pulse(model, n)
         rows.append(CurveRow(n, cost, k < k_limit, n_b))
     return rows
 

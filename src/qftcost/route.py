@@ -125,14 +125,3 @@ def cancel_swaps(routed: RoutedCircuit) -> RoutedCircuit:
         reduced.gate_census()[GateKind.SWAP],
         routed.logical_to_physical,
     )
-
-
-def paper_naive_swap_count(n: int) -> int:
-    """The quoted O(n^3) naive swap total for the n-qubit QFT."""
-    return (n - 1) * n * (2 * n - 1) // 6
-
-
-def paper_reduced_swap_count(n: int) -> int:
-    """The quoted O(n^2) swap total after chain sharing."""
-    return (n - 1) * (n - 2)
-

@@ -77,12 +77,7 @@ def _apply_gate(gate: Gate, array: np.ndarray, n: int) -> np.ndarray:
 
 def gate_unitary(gate: Gate, n: int) -> np.ndarray:
     """Embed a gate into the full 2^n-dimensional unitary."""
-    if n > MATRIX_QUBIT_CAP:
-        raise CapacityError(f"n={n} exceeds matrix cap {MATRIX_QUBIT_CAP}")
-    for q in gate.qubits:
-        if not 0 <= q < n:
-            raise IndexError(f"qubit {q} out of range for n={n}")
-    return _apply_gate(gate, np.eye(1 << n, dtype=complex), n)
+    return circuit_unitary(Circuit(n, (gate,)))
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .circuit import Circuit, DyadicAngle, Gate, GateKind
+from .circuit import QUBIT_CAP, Circuit, DyadicAngle, Gate, GateKind
+from .errors import CapacityError
 
 
 class LoweringLevel(Enum):
@@ -36,6 +37,8 @@ def build_aqft(n: int, m: int, include_bit_reversal: bool = False) -> Circuit:
     >= m.  m = n reproduces the exact QFT."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > QUBIT_CAP:
+        raise CapacityError(f"n={n} exceeds qubit cap {QUBIT_CAP}")
     if not 1 <= m <= n:
         raise ValueError(f"m must be in [1, {n}], got {m}")
     gates: list[Gate] = []
@@ -49,16 +52,14 @@ def build_aqft(n: int, m: int, include_bit_reversal: bool = False) -> Circuit:
     return Circuit(n, tuple(gates))
 
 
-def lower_xor(j: int, k: int, width: int | None = None) -> Circuit:
-    """Physical XOR(target=j, control=k) from Ry/Rz around an Ising step.
+def lower_xor(j: int, k: int) -> Circuit:
+    """Physical XOR(target=j, control=k) from Ry/Rz around an Ising step,
+    as a circuit max(j, k) + 1 qubits wide.
 
     The product equals XOR up to a global phase (expected exp(-i*pi/4)).
     """
-    if j == k:
-        raise ValueError("target and control must be distinct")
-    width = max(j, k) + 1 if width is None else width
     return Circuit(
-        width,
+        max(j, k) + 1,
         (
             Gate.ry(j, _HALF_PI),
             Gate.ising(j, k, _QUARTER_PI),
@@ -71,26 +72,20 @@ def lower_xor(j: int, k: int, width: int | None = None) -> Circuit:
 
 
 def lower_cphase(
-    j: int,
-    k: int,
-    theta: DyadicAngle,
-    physical: bool = False,
-    width: int | None = None,
+    j: int, k: int, theta: DyadicAngle, physical: bool = False
 ) -> Circuit:
     """Controlled phase C(target=j, control=k; theta) from two XORs, Rz
-    pulses of theta/2, and a theta/4 phase shift.
+    pulses of theta/2, and a theta/4 phase shift, as a circuit
+    max(j, k) + 1 qubits wide.
 
     With ideal XORs (the XOR lowering level) the product equals C(theta)
     exactly; with physical XORs (physical=True, the elementary level)
     equality holds up to a global phase.
     """
-    if j == k:
-        raise ValueError("target and control must be distinct")
-    width = max(j, k) + 1 if width is None else width
     half = theta.half()
-    xor = lower_xor(j, k, width).gates if physical else (Gate.xor(j, k),)
+    xor = lower_xor(j, k).gates if physical else (Gate.xor(j, k),)
     return Circuit(
-        width,
+        max(j, k) + 1,
         xor
         + (Gate.rz(j, half),)
         + xor
@@ -99,20 +94,15 @@ def lower_cphase(
     )
 
 
-def lower_swap(
-    j: int, k: int, physical: bool = False, width: int | None = None
-) -> Circuit:
+def lower_swap(j: int, k: int, physical: bool = False) -> Circuit:
     """Swap from three alternating XORs: ideal ones (the XOR lowering
     level), or with physical=True (the elementary level) their physical
-    sequences, exact up to a global phase."""
-    if j == k:
-        raise ValueError("indices must be distinct")
-    width = max(j, k) + 1 if width is None else width
+    sequences, exact up to a global phase; max(j, k) + 1 qubits wide."""
     if physical:
-        down, up = lower_xor(k, j, width).gates, lower_xor(j, k, width).gates
+        down, up = lower_xor(k, j).gates, lower_xor(j, k).gates
     else:
         down, up = (Gate.xor(k, j),), (Gate.xor(j, k),)
-    return Circuit(width, down + up + down, stage="lowered")
+    return Circuit(max(j, k) + 1, down + up + down, stage="lowered")
 
 
 def lower_circuit(circuit: Circuit, level: LoweringLevel) -> Circuit:
@@ -124,11 +114,11 @@ def lower_circuit(circuit: Circuit, level: LoweringLevel) -> Circuit:
     gates: list[Gate] = []
     for g in circuit:
         if g.kind is GateKind.CPHASE:
-            gates.extend(lower_cphase(*g.qubits, g.angle, physical, width=n))
+            gates.extend(lower_cphase(*g.qubits, g.angle, physical))
         elif g.kind is GateKind.SWAP:
-            gates.extend(lower_swap(*g.qubits, physical, width=n))
+            gates.extend(lower_swap(*g.qubits, physical))
         elif g.kind is GateKind.XOR and physical:
-            gates.extend(lower_xor(*g.qubits, width=n))
+            gates.extend(lower_xor(*g.qubits))
         else:
             gates.append(g)
     return Circuit(n, tuple(gates), stage="lowered")

@@ -18,15 +18,11 @@ from qftcost.cost import (
     cost_curve,
     intensity_requirement,
     max_feasible_qubits,
-    qft_cost_closed_form,
-)
-from qftcost.route import (
-    RoutingStrategy,
-    cancel_swaps,
     paper_naive_swap_count,
     paper_reduced_swap_count,
-    route_lnn,
+    qft_cost_closed_form,
 )
+from qftcost.route import RoutingStrategy, cancel_swaps, route_lnn
 from qftcost.simulate import (
     circuit_unitary,
     dft_matrix,

@@ -1,5 +1,6 @@
 """CLI tests: subcommands, exit codes, pipelines, determinism."""
 import json
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -148,6 +149,18 @@ class TestCost:
         assert "exceeds feasible field" in result.output
         assert "ratio=2^99" in result.output
 
+    # 2^(n-1) is beyond the float range from n = 1025, and B_max from n = 1035
+    @pytest.mark.parametrize("n, b_max", [(1030, "5.75262e+306"), (1100, "inf")])
+    def test_intensity_field_beyond_float_range(self, runner, n, b_max):
+        result = runner.invoke(
+            main,
+            ["cost", "--closed-form", "qft", "--mode", "intensity",
+             "--b-min", "1e-3", "--n-range", f"{n}:{n}"],
+        )
+        assert result.exit_code == 0, result.output
+        assert "Traceback" not in result.output
+        assert f"B_max={b_max} T ratio=2^{n - 1} exceeds feasible field" in result.output
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -216,6 +229,11 @@ def _circuit_text(n: int, gates: list) -> str:
     return json.dumps({"n": n, "stage": "synthesized", "gates": gates})
 
 
+def _rz(log2den: int) -> dict:
+    return {"kind": "Rz", "q": [0], "angle": {"num": "1", "log2den": log2den}}
+
+
+_H0 = {"kind": "H", "q": [0]}
 _CURVE = ["cost", "--closed-form", "qft", "--n-range", "2:3", "--t-res", "1e-3"]
 _INFEASIBLE = "infeasible model: "
 
@@ -232,6 +250,13 @@ _INFEASIBLE = "infeasible model: "
         (["verify", "-"], _circuit_text(13, []), 3, "capacity error: "),
         (["verify", "-", "--against", "WIDE"], _circuit_text(2, []), 2,
          "- has 2 qubits, WIDE has 3"),
+        (["build", "5", "--approx", "7"], None, 2, "m must be in [1, 5], got 7"),
+        # one above the width cap: rejected before any gate is built or read
+        (["build", "4097"], None, 3, "capacity error: n=4097 exceeds qubit cap 4096"),
+        (["cost", "-", "--mode", "intensity"], _circuit_text(4097, [_H0]), 3,
+         "capacity error: n=4097 exceeds qubit cap 4096"),
+        (["cost", "-"], _circuit_text(1, [_rz(4098)]), 2,
+         "log2den 4098 exceeds the bound 4097"),
     ],
 )
 def test_exit_codes(runner, tmp_path, args, stdin, code, stderr):
@@ -255,7 +280,15 @@ def test_infeasible_circuit_is_not_an_exit_code(runner):
     assert json.loads(result.stdout)["feasible"] is False
 
 
-_H0 = {"kind": "H", "q": [0]}
+def test_widest_circuit_and_smallest_angle_are_read(runner):
+    wide = runner.invoke(
+        main, ["cost", "-", "--mode", "intensity"], input=_circuit_text(4096, [_H0])
+    )
+    assert wide.exit_code == 0, wide.output
+    assert json.loads(wide.stdout)["intensity_ratio"] == str(2**4095)
+    fine = runner.invoke(main, ["cost", "-"], input=_circuit_text(1, [_rz(4097)]))
+    assert fine.exit_code == 0, fine.output
+    assert Fraction(json.loads(fine.stdout)["total_relative"]) == Fraction(1, 2**4097)
 
 
 @pytest.mark.parametrize(

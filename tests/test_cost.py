@@ -1,4 +1,5 @@
 """Cost-model tests: durations, closed forms, feasibility bounds, curves."""
+import functools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -41,18 +42,29 @@ def brute_force_qft_sum(n: int, tau_n_minus_one: bool) -> Fraction:
     return total
 
 
-def oracle_closed_form_cost(n: int, m: int, model: HardwareModel) -> Fraction:
-    """The per-distance sum cost_curve once evaluated row by row."""
-    unit = model.unit_angle_fraction(n)
-    total = Fraction(0)
-    for d in range(1, min(m, n)):
-        total += (n - d) * Fraction(1, 1 << d) / unit
-    if model.fixed_gate_time > 0.0:
-        fixed_rel = Fraction(model.fixed_gate_time) / Fraction(
-            model.t_unit_seconds(n)
-        )
-        total += n * fixed_rel  # the n Hadamard pulses
-    return total
+@functools.cache
+def oracle_prefix_costs(n: int, model: HardwareModel) -> tuple[Fraction, ...]:
+    """The per-distance sum cost_curve once evaluated row by row, term by
+    term: entry K is the cost of AQFT(n, K + 1), for K in 0..n-1, so every
+    m shares one pass over the distances d."""
+    if model.mode is ControlMode.INTENSITY:
+        total = Fraction(n)  # the n Hadamards, one unit per gate
+    else:
+        total = Fraction(0)
+        if model.fixed_gate_time > 0.0:
+            fixed_rel = Fraction(model.fixed_gate_time) / Fraction(
+                model.t_unit_seconds(n)
+            )
+            total += n * fixed_rel  # the n Hadamard pulses
+        unit = model.unit_angle_fraction(n)
+    costs = [total]
+    for d in range(1, n):
+        if model.mode is ControlMode.INTENSITY:
+            total += n - d  # n - d gates at distance d
+        else:
+            total += (n - d) * Fraction(1, 1 << d) / unit
+        costs.append(total)
+    return tuple(costs)
 
 
 def oracle_row_feasible(n: int, m: int, model: HardwareModel) -> bool:
@@ -85,14 +97,12 @@ def oracle_curve(
     n_min: int, n_max: int, model: HardwareModel, aqft_m: int | None = None
 ) -> list[CurveRow]:
     """Closed-form curve rows built term by term (aqft_m None: the QFT)."""
+    n_b = oracle_n_b(model)
     rows = []
     for n in range(n_min, n_max + 1):
         m = n if aqft_m is None else min(aqft_m, n)
-        if model.mode is ControlMode.INTENSITY:
-            cost = Fraction(n + sum(n - d for d in range(1, m)))
-        else:
-            cost = oracle_closed_form_cost(n, m, model)
-        rows.append(CurveRow(n, cost, oracle_row_feasible(n, m, model), oracle_n_b(model)))
+        cost = oracle_prefix_costs(n, model)[m - 1]
+        rows.append(CurveRow(n, cost, oracle_row_feasible(n, m, model), n_b))
     return rows
 
 
@@ -107,9 +117,6 @@ ORACLE_MODELS = [
     # t_ref below t_R: no duration row is feasible and n_b is 0
     HardwareModel(unit_policy=UnitPolicy.TAU_ZERO, t_ref=1e-4),
     HardwareModel(mode=ControlMode.INTENSITY, t_ref=1e-4),
-    HardwareModel(
-        unit_policy=UnitPolicy.CUSTOM, custom_unit=DyadicAngle.pi_over_pow2(3)
-    ),
     # Hadamard pulses shorter than t_R: no duration row is feasible
     HardwareModel(unit_policy=UnitPolicy.TAU_ZERO, fixed_gate_time=T_R / 2),
 ]
@@ -131,11 +138,6 @@ ROUTED_MODELS = [
     HardwareModel(
         unit_policy=UnitPolicy.TAU_ZERO, t_ref=0.5, t_resolution=2**-10,
         fixed_gate_time=0.25,
-    ),
-    HardwareModel(
-        unit_policy=UnitPolicy.CUSTOM,
-        custom_unit=DyadicAngle(3, 3),
-        fixed_gate_time=T_R,
     ),
 ]
 
@@ -197,13 +199,6 @@ class TestGateDuration:
         for g in build_qft(4, True):
             assert gate_duration(g, INTENSITY, 4) == 1
 
-    def test_custom_unit(self):
-        model = HardwareModel(
-            unit_policy=UnitPolicy.CUSTOM, custom_unit=DyadicAngle.pi_over_pow2(2)
-        )
-        g = Gate.cphase(0, 1, DyadicAngle.pi_over_pow2(0))
-        assert gate_duration(g, model, 2) == 4
-
 
 class TestClosedForms:
     def test_tau0_formula_n2(self):
@@ -215,6 +210,8 @@ class TestClosedForms:
     def test_n1_is_zero(self):
         assert qft_cost_closed_form(1, UnitPolicy.TAU_ZERO) == 0
         assert qft_cost_closed_form(1, UnitPolicy.TAU_N_MINUS_ONE) == 0
+        with pytest.raises(ValueError):
+            qft_cost_closed_form(0, UnitPolicy.TAU_ZERO)
 
     def test_matches_brute_force_sum(self):
         for n in range(2, 21):
@@ -241,18 +238,6 @@ class TestClosedForms:
     def test_big_n_no_overflow(self):
         v = qft_cost_closed_form(4096, UnitPolicy.TAU_N_MINUS_ONE)
         assert v == (4096 - 2) * (1 << 4095) + 1
-
-    def test_custom_unit_scales_tau0_form(self):
-        for k in range(0, 5):
-            unit = DyadicAngle.pi_over_pow2(k)
-            for n in range(1, 12):
-                assert qft_cost_closed_form(
-                    n, UnitPolicy.CUSTOM, unit
-                ) == qft_cost_closed_form(n, UnitPolicy.TAU_ZERO) * (1 << k)
-        with pytest.raises(ValueError):
-            qft_cost_closed_form(4, UnitPolicy.CUSTOM)
-        with pytest.raises(ValueError):
-            qft_cost_closed_form(0, UnitPolicy.TAU_ZERO)
 
 
 class TestCircuitCost:

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qftcost.circuit import Circuit, DyadicAngle, Gate, GateKind
+from qftcost.cost import paper_naive_swap_count, paper_reduced_swap_count
 from qftcost.route import (
     MeetAt,
     RoutedCircuit,
     RoutingStrategy,
     cancel_swaps,
-    paper_naive_swap_count,
-    paper_reduced_swap_count,
     route_lnn,
 )
 from qftcost.simulate import circuit_unitary

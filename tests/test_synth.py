@@ -126,7 +126,7 @@ class TestLowerXor:
         phases = []
         for (j, k) in [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2)]:
             n = max(j, k) + 1
-            u = circuit_unitary(lower_xor(j, k, width=n))
+            u = circuit_unitary(Circuit(n, lower_xor(j, k).gates))
             ok, lam = equal_up_to_global_phase(u, gate_unitary(Gate.xor(j, k), n), 1e-11)
             assert ok
             phases.append(lam)
