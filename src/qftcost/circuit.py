@@ -98,15 +98,30 @@ class DyadicAngle:
         """Exact value of angle / pi."""
         return Fraction(self.numerator, 1 << self.log2_denominator)
 
+    def reduced_numerator(self, log2_bound: int = 0) -> int:
+        """Numerator over the same 2^log2_denominator of the angle reduced
+        modulo 2^(k+1)*pi into (-2^k*pi, 2^k*pi], k = log2_bound: k = 0 is
+        (-pi, pi].  Integer arithmetic only; a numerator already inside is
+        returned as it is."""
+        half = 1 << (self.log2_denominator + log2_bound)
+        return half - (half - self.numerator) % (2 * half)
+
     def reduced_fraction_of_pi(self) -> Fraction:
         """Angle / pi reduced modulo 2 into (-1, 1]."""
-        return 1 - (1 - self.as_fraction_of_pi) % 2
+        return Fraction(self.reduced_numerator(), 1 << self.log2_denominator)
 
     @property
     def radians(self) -> float:
-        # ldexp keeps the conversion exact whenever the float result is;
-        # avoids overflow of 2**log2_denominator as a float for huge b.
-        return math.ldexp(float(self.numerator), -self.log2_denominator) * math.pi
+        """The angle in radians, first reduced modulo 4*pi into
+        (-2*pi, 2*pi] when it lies outside.  Every gate's period divides
+        4*pi, so the unitary is unchanged, and a huge numerator cannot
+        overflow the float conversion.  Integer true division is correctly
+        rounded, so it is exact whenever the float result is, at any
+        log2_denominator."""
+        num, b = self.numerator, self.log2_denominator
+        if not -(2 << b) < num <= 2 << b:
+            num = self.reduced_numerator(1)
+        return num / (1 << b) * math.pi
 
     def __repr__(self) -> str:
         if self.numerator == 0:

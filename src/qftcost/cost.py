@@ -174,6 +174,15 @@ def _resolvable(shortest: Fraction | None, model: HardwareModel, n: int) -> bool
 def circuit_cost(circuit: Circuit, model: HardwareModel) -> CostReport:
     """Exact total duration of a circuit with per-class breakdown.
 
+    One integer pass over the gates, then one exact pricing step.  Every
+    angle is num*pi/2^b: the pass reduces num into (-2^b, 2^b] (the angle
+    into (-pi, pi]), adds its magnitude into an int keyed by (breakdown
+    class, b), keeps the smallest positive magnitude per b, and counts the
+    fixed pulses (H, Xor, Ry, Swap) per class; in intensity mode it counts
+    every gate per class.  Pricing builds one Fraction per distinct
+    (class, b), divided by the unit angle, and adds count * the fixed
+    pulse, so the totals equal the sum of gate_duration over the gates.
+
     feasible is _resolvable on the circuit's shortest positive pulse.
     Under tau_n-1 the intensity is tuned so that the *logical* QFT's
     smallest rotation pi/2^(n-1) takes t_R, so lowered Rz(theta/2) and
@@ -181,20 +190,40 @@ def circuit_cost(circuit: Circuit, model: HardwareModel) -> CostReport:
     logical QFT at t_ref (see max_feasible_qubits).
     """
     n = circuit.num_qubits
-    breakdown = dict.fromkeys(_BREAKDOWN_CLASS.values(), Fraction(0))
-    min_positive: Fraction | None = None
-    for g in circuit:
-        d = gate_duration(g, model, n)
-        breakdown[_BREAKDOWN_CLASS[g.kind]] += d
-        if d > 0 and (min_positive is None or d < min_positive):
-            min_positive = d
-    total = sum(breakdown.values(), Fraction(0))
     intensity = model.mode is ControlMode.INTENSITY
+    pulses = dict.fromkeys(_BREAKDOWN_CLASS.values(), 0)  # unit or fixed pulses
+    angle_sums: dict[tuple[str, int], int] = {}  # reduced |num| per (class, b)
+    minima: dict[int, int] = {}  # smallest positive reduced |num| per b
+    for g in circuit.gates:
+        cls = _BREAKDOWN_CLASS[g.kind]
+        if intensity or g.kind not in _ANGLE_COST_KINDS:
+            pulses[cls] += 1
+            continue
+        b = g.angle.log2_denominator
+        magnitude = abs(g.angle.reduced_numerator())
+        angle_sums[cls, b] = angle_sums.get((cls, b), 0) + magnitude
+        if magnitude and (b not in minima or magnitude < minima[b]):
+            minima[b] = magnitude
+
+    if intensity:
+        pulse = Fraction(1)
+    elif model.fixed_gate_time == 0.0:
+        pulse = Fraction(0)
+    else:
+        pulse = _fixed_pulse(model, n)
+    breakdown = {cls: count * pulse for cls, count in pulses.items()}
+    unit = model.unit_angle_fraction(n)
+    for (cls, b), magnitude in angle_sums.items():
+        breakdown[cls] += Fraction(magnitude, 1 << b) / unit
+    shortest = [Fraction(magnitude, 1 << b) / unit for b, magnitude in minima.items()]
+    if pulse and any(pulses.values()):
+        shortest.append(pulse)
+    total = sum(breakdown.values(), Fraction(0))
     return CostReport(
         total_relative=total,
         total_seconds=float(total * Fraction(model.t_unit_seconds(n))),
         breakdown=breakdown,
-        feasible=_resolvable(min_positive, model, n),
+        feasible=_resolvable(min(shortest, default=None), model, n),
         n_b=None if intensity else _n_b(model.t_ref, model.t_resolution),
         intensity_ratio=1 << (n - 1) if intensity else None,
     )

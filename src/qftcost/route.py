@@ -47,26 +47,25 @@ class RoutedCircuit:
 
 def _swap_plan(
     j: int, k: int, strategy: Strategy
-) -> tuple[list[tuple[int, int]], tuple[int, int]]:
-    """Pre-swaps and the adjacent positions (pos of j's data, pos of k's data).
+) -> tuple[list[int], tuple[int, int]]:
+    """Pre-swaps, each named by its lower position m (the swap of m and
+    m + 1), and the adjacent positions (pos of j's data, pos of k's data).
 
     Post-swaps are the pre-swaps reversed.
     """
     if strategy is RoutingStrategy.MOVE_CONTROL_TO_TARGET:
-        pre = [(m, m + 1) for m in range(k - 1, j, -1)]
-        return pre, (j, j + 1)
+        return list(range(k - 1, j, -1)), (j, j + 1)
     if strategy is RoutingStrategy.MOVE_TARGET_TO_CONTROL:
-        pre = [(m, m + 1) for m in range(j, k - 1)]
-        return pre, (k - 1, k)
+        return list(range(j, k - 1)), (k - 1, k)
     l = min(max(strategy.meeting_point, j + 1), k - 1)
-    pre = [(m, m + 1) for m in range(k - 1, l, -1)]
-    pre += [(m, m + 1) for m in range(j, l)]
-    return pre, (l, l + 1)
+    return [*range(k - 1, l, -1), *range(j, l)], (l, l + 1)
 
 
 def route_lnn(circuit: Circuit, strategy: Strategy = DEFAULT_STRATEGY) -> RoutedCircuit:
     """Replace each non-adjacent two-qubit gate with its swap-conjugated
-    adjacent form; adjacent and single-qubit gates pass through."""
+    adjacent form; adjacent and single-qubit gates pass through.  The
+    inserted swaps share one Gate per adjacent position."""
+    adjacent = [Gate.swap(m, m + 1) for m in range(circuit.num_qubits - 1)]
     gates: list[Gate] = []
     for g in circuit:
         if not g.is_two_qubit or abs(g.qubits[0] - g.qubits[1]) == 1:
@@ -80,9 +79,9 @@ def route_lnn(circuit: Circuit, strategy: Strategy = DEFAULT_STRATEGY) -> Routed
             placed = (pos_j, pos_k)
         else:
             placed = (pos_k, pos_j)
-        gates.extend(Gate.swap(x, y) for x, y in pre)
+        gates.extend(map(adjacent.__getitem__, pre))
         gates.append(Gate(g.kind, placed, g.angle))
-        gates.extend(Gate.swap(x, y) for x, y in reversed(pre))
+        gates.extend(map(adjacent.__getitem__, reversed(pre)))
     routed = Circuit(circuit.num_qubits, tuple(gates), stage="routed")
     swaps = routed.gate_census()[GateKind.SWAP]
     return RoutedCircuit(routed, swaps, tuple(range(circuit.num_qubits)))

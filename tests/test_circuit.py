@@ -24,7 +24,7 @@ class TestAngleCanonicalize:
     def test_already_canonical_deep_denominator(self):
         a = angle_canonicalize(1, 99)
         assert a == DyadicAngle(1, 99)
-        # float conversion must go through ldexp, not 2**99 intermediate
+        # float conversion must not go through a 2**99 float intermediate
         assert a.radians == math.pi * math.ldexp(1.0, -99)
         assert a.radians > 0.0
 
@@ -35,6 +35,7 @@ class TestAngleCanonicalize:
     def test_exact_float_conversion_small_denominators(self):
         for j in range(0, 20):
             assert DyadicAngle.pi_over_pow2(j).radians == math.pi / 2**j
+        assert DyadicAngle(-1, 1).radians == -math.pi / 2
 
     def test_non_canonical_constructor_rejected(self):
         with pytest.raises(ValueError):
@@ -68,6 +69,30 @@ class TestAngleArithmetic:
         assert angle_canonicalize(-1, 0).reduced_fraction_of_pi() == 1
         assert angle_canonicalize(5, 1).reduced_fraction_of_pi() == Fraction(1, 2)
         assert angle_canonicalize(-1, 1).reduced_fraction_of_pi() == Fraction(-1, 2)
+
+    @given(st.integers(-10**6, 10**6), st.integers(0, 12), st.integers(0, 1))
+    def test_reduced_numerator_is_the_symmetric_residue(self, num, den, k):
+        a = angle_canonicalize(num, den)
+        half = 1 << (a.log2_denominator + k)
+        r = a.reduced_numerator(k)
+        assert -half < r <= half and (r - a.numerator) % (2 * half) == 0
+        # the Fraction rule the integer helper replaced
+        assert a.reduced_fraction_of_pi() == 1 - (1 - a.as_fraction_of_pi) % 2
+
+    @pytest.mark.parametrize(
+        "num, log2den, reduced", [(5, 0, 1), (-3, 0, 1), (7, 1, -1), (-9, 2, 7)]
+    )
+    def test_radians_reduced_modulo_four_pi(self, num, log2den, reduced):
+        # into (-2pi, 2pi]: 5pi -> pi, -3pi -> pi, 7pi/2 -> -pi/2, -9pi/4 -> 7pi/4
+        a = angle_canonicalize(num, log2den)
+        assert a.radians == angle_canonicalize(reduced, log2den).radians
+        assert a.radians == math.ldexp(float(reduced), -log2den) * math.pi
+
+    def test_radians_of_huge_numerator(self):
+        # 10^400 + 1 = 1 (mod 4): the angle is pi, with no float overflow
+        assert DyadicAngle(10**400 + 1, 0).radians == math.pi
+        # inside (-2pi, 2pi] but far beyond the float range over 2^2000
+        assert DyadicAngle(2**2000 + 1, 2000).radians == math.pi
 
 
 class TestGate:

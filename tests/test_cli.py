@@ -102,6 +102,14 @@ class TestVerify:
         assert result.exit_code == 0
         assert "phase=1" in result.output
 
+    def test_huge_numerator_is_a_real_mismatch(self, runner):
+        # 10^400 * pi = 0 (mod 4 pi): Rz of it is the identity, not the DFT
+        huge = {"kind": "Rz", "q": [0], "angle": {"num": "1" + "0" * 400, "log2den": 0}}
+        result = runner.invoke(main, ["verify", "-"], input=_circuit_text(1, [huge]))
+        assert result.exit_code == 1, result.output
+        assert "mismatch" in result.stdout
+        assert "Traceback" not in result.output
+
     def test_capacity_exit(self, runner, tmp_path):
         big = tmp_path / "big.json"
         big.write_text(json.dumps({"n": 13, "stage": "synthesized", "gates": []}))

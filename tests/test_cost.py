@@ -1,14 +1,28 @@
 """Cost-model tests: durations, closed forms, feasibility bounds, curves."""
 import functools
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from qftcost.circuit import Circuit, DyadicAngle, Gate, angle_canonicalize
+import qftcost.cost as cost_module
+from qftcost.circuit import (
+    ANGLE_FREE_KINDS,
+    TWO_QUBIT_KINDS,
+    Circuit,
+    DyadicAngle,
+    Gate,
+    GateKind,
+    angle_canonicalize,
+)
 from qftcost.cost import (
+    _BREAKDOWN_CLASS,
+    _n_b,
+    _resolvable,
     CLOSED_FORM_N_CAP,
     ControlMode,
+    CostReport,
     CurveRow,
     HardwareModel,
     UnitPolicy,
@@ -23,7 +37,13 @@ from qftcost.cost import (
 )
 from qftcost.errors import CapacityError, InfeasibleModelError
 from qftcost.route import cancel_swaps, route_lnn
-from qftcost.synth import build_aqft, build_qft, lower_swap
+from qftcost.synth import (
+    LoweringLevel,
+    build_aqft,
+    build_qft,
+    lower_circuit,
+    lower_swap,
+)
 
 TAU0 = HardwareModel(unit_policy=UnitPolicy.TAU_ZERO)
 TAUN = HardwareModel(unit_policy=UnitPolicy.TAU_N_MINUS_ONE)
@@ -65,6 +85,48 @@ def oracle_prefix_costs(n: int, model: HardwareModel) -> tuple[Fraction, ...]:
             total += (n - d) * Fraction(1, 1 << d) / unit
         costs.append(total)
     return tuple(costs)
+
+
+def oracle_circuit_cost(circuit: Circuit, model: HardwareModel) -> CostReport:
+    """The per-gate loop circuit_cost once ran: sum gate_duration per class,
+    then apply the feasibility rule to the shortest positive duration."""
+    n = circuit.num_qubits
+    breakdown = dict.fromkeys(_BREAKDOWN_CLASS.values(), Fraction(0))
+    shortest = None
+    for g in circuit:
+        d = gate_duration(g, model, n)
+        if d:  # durations are never negative
+            breakdown[_BREAKDOWN_CLASS[g.kind]] += d
+            if shortest is None or d < shortest:
+                shortest = d
+    total = sum(breakdown.values(), Fraction(0))
+    intensity = model.mode is ControlMode.INTENSITY
+    return CostReport(
+        total_relative=total,
+        total_seconds=float(total * Fraction(model.t_unit_seconds(n))),
+        breakdown=breakdown,
+        feasible=_resolvable(shortest, model, n),
+        n_b=None if intensity else _n_b(model.t_ref, model.t_resolution),
+        intensity_ratio=1 << (n - 1) if intensity else None,
+    )
+
+
+def random_cost_circuit(rng: random.Random) -> Circuit:
+    """Up to 20 gates of every kind on 1-5 wires; angles up to +-70*pi/2^6,
+    so many lie outside (-pi, pi], and some are zero."""
+    n = rng.randrange(1, 6)
+    gates = []
+    for _ in range(rng.randrange(0, 21)):
+        kind = rng.choice(list(GateKind))
+        if kind in TWO_QUBIT_KINDS and n < 2:
+            continue
+        qubits = tuple(rng.sample(range(n), 2 if kind in TWO_QUBIT_KINDS else 1))
+        angle = None
+        if kind not in ANGLE_FREE_KINDS:
+            num = 0 if rng.random() < 0.1 else rng.randrange(-70, 71)
+            angle = angle_canonicalize(num, rng.randrange(0, 7))
+        gates.append(Gate(kind, qubits, angle))
+    return Circuit(n, tuple(gates))
 
 
 def oracle_row_feasible(n: int, m: int, model: HardwareModel) -> bool:
@@ -140,6 +202,9 @@ ROUTED_MODELS = [
         fixed_gate_time=0.25,
     ),
 ]
+
+#: Every oracle and routed model, once each.
+KERNEL_MODELS = list(dict.fromkeys(ORACLE_MODELS + ROUTED_MODELS))
 
 
 class TestHardwareModel:
@@ -278,6 +343,50 @@ class TestCircuitCost:
         lowered = circuit_cost(lower_swap(0, 1, physical=True), TAU0)
         assert lowered.total_relative == Fraction(15, 4)
         assert lowered.breakdown["swap"] == 0
+
+
+class TestCostKernelOracle:
+    """The integer kernel equals the per-gate gate_duration loop."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_routed_aqft_grid(self, n):
+        # every m at every level, routed and reduced once per n
+        circuits = [
+            cancel_swaps(route_lnn(lower_circuit(build_aqft(n, m), level))).circuit
+            for m in range(1, n + 1)
+            for level in LoweringLevel
+        ]
+        for model in KERNEL_MODELS:
+            for c in circuits:
+                assert circuit_cost(c, model) == oracle_circuit_cost(c, model), model
+
+    def test_random_circuits(self):
+        rng = random.Random(32)
+        circuits = [Circuit(3, ())] + [random_cost_circuit(rng) for _ in range(60)]
+        for model in KERNEL_MODELS:
+            for c in circuits:
+                assert circuit_cost(c, model) == oracle_circuit_cost(c, model), model
+
+    def test_work_per_key_not_per_gate(self, monkeypatch):
+        # doubling the gates adds no Fraction, and gate_duration is not used
+        made = []
+
+        class CountedFraction(Fraction):
+            def __new__(cls, *args):
+                made.append(args)
+                return Fraction(*args)
+
+        monkeypatch.setattr(cost_module, "Fraction", CountedFraction)
+        monkeypatch.setattr(cost_module, "gate_duration", None)
+        once = cancel_swaps(route_lnn(build_qft(8))).circuit
+        twice = Circuit(8, once.gates * 2)
+        for model in (TAU0_FIXED, TAUN, INTENSITY):
+            made.clear()
+            single = circuit_cost(once, model)
+            fractions = len(made)
+            made.clear()
+            assert circuit_cost(twice, model).total_relative == 2 * single.total_relative
+            assert len(made) == fractions, model
 
 
 class TestMaxFeasibleQubits:

@@ -123,6 +123,15 @@ class TestRouteLnn:
         r = route_lnn(build_qft(5))
         assert r.logical_to_physical == tuple(range(5))
 
+    def test_inserted_swaps_are_shared(self):
+        # one Gate object per distinct adjacent swap, equal by value as before
+        for strategy in ALL_STRATEGIES:
+            swaps = [
+                g for g in route_lnn(build_qft(8), strategy).circuit
+                if g.kind is GateKind.SWAP
+            ]
+            assert len({id(g) for g in swaps}) == len(set(swaps)) <= 7
+
     def test_stage_tag(self):
         assert route_lnn(build_qft(3)).circuit.stage == "routed"
 
